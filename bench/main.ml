@@ -8,7 +8,7 @@
            dune exec bench/main.exe -- --jobs J      (fan sweeps over J domains)
 
    Sections: table1 fig2 fig3 fig4 m1 fig6-timing fig6-area scalability
-             ablation-mcm ablation-ordering ablation-dse incremental csr rtl
+             ablation-mcm ablation-ordering ablation-dse incremental rtl
              scale runtime chaos micro   *)
 
 module System = Ermes_slm.System
@@ -17,8 +17,8 @@ module Sim = Ermes_slm.Sim
 module To_tmg = Ermes_slm.To_tmg
 module Fsm = Ermes_slm.Fsm
 module Tmg = Ermes_tmg.Tmg
-module Howard = Ermes_tmg.Howard
-module Karp = Ermes_tmg.Karp
+module Csr = Ermes_tmg.Csr
+module Verify = Ermes_verify.Verify
 module Cycles = Ermes_tmg.Cycles
 module Firing = Ermes_tmg.Firing
 module Ratio = Ermes_tmg.Ratio
@@ -96,6 +96,16 @@ let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+let min_time ?(reps = 3) f =
+  let best = ref infinity in
+  let result = ref None in
+  for _ = 1 to reps do
+    let r, t = time f in
+    result := Some r;
+    best := min !best t
+  done;
+  (Option.get !result, !best)
 
 let analyze_exn sys =
   match Perf.analyze sys with
@@ -354,14 +364,15 @@ let ablation_mcm () =
            ~tokens:1 ())
     done;
     incr nets;
-    match (Howard.cycle_time tmg, Karp.of_unit_tmg tmg, Cycles.max_cycle_ratio_brute tmg) with
+    let g = Csr.of_tmg tmg in
+    match (Csr.cycle_time tmg, Csr.karp_unit g, Cycles.max_cycle_ratio_brute tmg) with
     | Ok h, Some k, Some (b, _) ->
       let lawler_ok =
-        match Ermes_tmg.Lawler.cycle_time tmg with
-        | Ok (l, _) -> Ratio.equal l h.Howard.cycle_time
+        match Csr.lawler_certified g with
+        | Ok (l, _, _) -> Ratio.equal l h.Csr.cycle_time
         | Error _ -> false
       in
-      if not (Ratio.equal h.Howard.cycle_time k && Ratio.equal k b && lawler_ok) then
+      if not (Ratio.equal h.Csr.cycle_time k && Ratio.equal k b && lawler_ok) then
         incr mismatches
     | _ -> incr mismatches
   done;
@@ -369,14 +380,14 @@ let ablation_mcm () =
     !nets !mismatches;
   (* Timing on the MPEG-2 TMG and a large synthetic one. *)
   let m = To_tmg.build (Lazy.force mpeg2) in
-  let (_, t_howard) = time (fun () -> Howard.cycle_time m.To_tmg.tmg) in
-  let (_, t_lawler) = time (fun () -> Ermes_tmg.Lawler.cycle_time m.To_tmg.tmg) in
+  let (_, t_howard) = time (fun () -> Csr.cycle_time m.To_tmg.tmg) in
+  let (_, t_lawler) = time (fun () -> Csr.lawler_certified (Csr.of_tmg m.To_tmg.tmg)) in
   repro "Howard on the MPEG-2 TMG (%d transitions, %d places): %.3f ms (Lawler: %.3f ms)"
     (Tmg.transition_count m.To_tmg.tmg) (Tmg.place_count m.To_tmg.tmg) (1000. *. t_howard)
     (1000. *. t_lawler);
   let big = Generate.scaled ~processes:1000 ~channels:1500 () in
   let mb = To_tmg.build big in
-  let (_, t_big) = time (fun () -> Howard.cycle_time mb.To_tmg.tmg) in
+  let (_, t_big) = time (fun () -> Csr.cycle_time mb.To_tmg.tmg) in
   repro "Howard on a 1,000-process TMG (%d transitions, %d places): %.1f ms"
     (Tmg.transition_count mb.To_tmg.tmg) (Tmg.place_count mb.To_tmg.tmg) (1000. *. t_big);
   repro "exhaustive enumeration is already intractable at this size (the paper's point)"
@@ -695,17 +706,17 @@ let incremental () =
             let tr = compute.(i mod Array.length compute).(0) in
             Tmg.set_delay tmg tr (1 + ((Tmg.delay tmg tr + i) mod 50));
             match solve () with
-            | Ok (r : Howard.result) -> cts := r.Howard.cycle_time :: !cts
+            | Ok (r : Csr.result) -> cts := r.Csr.cycle_time :: !cts
             | Error _ -> failwith "howard-warm bench: unexpected verdict"
           done)
     in
     (List.rev !cts, t)
   in
-  let cold_cts, t_cold = run_howard (fun tmg () -> Howard.cycle_time tmg) in
+  let cold_cts, t_cold = run_howard (fun tmg () -> Csr.cycle_time tmg) in
   let warm_cts, t_warm =
     run_howard (fun tmg ->
-        let solver = Howard.make_solver tmg in
-        fun () -> Howard.solve solver)
+        let solver = Csr.make_solver tmg in
+        fun () -> Csr.solve solver)
   in
   if not (List.for_all2 Ratio.equal cold_cts warm_cts) then
     failwith "howard-warm bench: warm solver disagrees with cold analysis";
@@ -801,15 +812,15 @@ let micro () =
   let tests =
     [
       Test.make ~name:"howard/motivating (15t,23p)"
-        (Staged.stage (fun () -> Howard.cycle_time (To_tmg.build motiv).To_tmg.tmg));
+        (Staged.stage (fun () -> Csr.cycle_time (To_tmg.build motiv).To_tmg.tmg));
       Test.make ~name:"howard/mpeg2 (88t,148p)"
-        (Staged.stage (fun () -> Howard.cycle_time mpeg2_tmg));
+        (Staged.stage (fun () -> Csr.cycle_time mpeg2_tmg));
       Test.make ~name:"howard/synth-1000"
-        (Staged.stage (fun () -> Howard.cycle_time synth_tmg));
+        (Staged.stage (fun () -> Csr.cycle_time synth_tmg));
       Test.make ~name:"howard-warm/mpeg2"
         (Staged.stage
-           (let solver = Howard.make_solver mpeg2_tmg in
-            fun () -> Howard.solve solver));
+           (let solver = Csr.make_solver mpeg2_tmg in
+            fun () -> Csr.solve solver));
       Test.make ~name:"fresh-analyze/synth-1000"
         (Staged.stage (fun () -> Perf.analyze synth_sys));
       Test.make ~name:"incremental-vs-fresh/synth-1000"
@@ -817,12 +828,11 @@ let micro () =
            (let session = Incremental.create synth_sys in
             let p0 = List.hd (System.processes synth_sys) in
             fun () -> Incremental.probe session [ Incremental.Slow_process (p0, 1) ]));
-      Test.make ~name:"karp/mpeg2-unit-ring"
+      Test.make ~name:"karp/mpeg2 (unit tokens)"
         (Staged.stage
-           (let g = Tmg.graph mpeg2_tmg in
-            fun () -> ignore g;
-              Karp.max_cycle_mean
-                (Ermes_digraph.Digraph.map_labels ~vertex:(fun _ -> ()) ~arc:(fun (_, _) -> 1) g)));
+           (let g = Csr.of_tmg mpeg2_tmg in
+            let unit = { g with Csr.tokens = Array.map (fun _ -> 1) g.Csr.tokens } in
+            fun () -> Csr.karp_unit unit));
       Test.make ~name:"ordering/mpeg2"
         (Staged.stage (fun () -> Order.compute_labels mpeg2_sys));
       Test.make ~name:"ordering/synth-1000"
@@ -923,50 +933,6 @@ let runtime () =
     (1000. *. t_j /. float_of_int records);
   metric "runtime.journal_append_ms" (1000. *. t_j /. float_of_int records)
 
-(* --------------------------------------------------------------- CSR core *)
-
-module Csr = Ermes_tmg.Csr
-module Verify = Ermes_verify.Verify
-
-let min_time ?(reps = 3) f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to reps do
-    let r, t = time f in
-    result := Some r;
-    best := min !best t
-  done;
-  (Option.get !result, !best)
-
-(* Pointer-based Howard vs the flat CSR port, cold, on the synth-1000 SoC.
-   The two must agree bit for bit — same ratio, witness, potentials and
-   iteration counts — so the speedup is for the identical computation. *)
-let csr_section () =
-  hr "CSR core - flat-array Howard vs pointer solver (synth-1000, cold)";
-  let sys = Generate.scaled ~processes:1000 ~channels:1500 () in
-  let tmg = (To_tmg.build sys).To_tmg.tmg in
-  let reps = if quick then 3 else 5 in
-  let ptr, t_ptr = min_time ~reps (fun () -> Howard.cycle_time tmg) in
-  let flat, t_csr = min_time ~reps (fun () -> Csr.cycle_time tmg) in
-  (match (ptr, flat) with
-  | Ok p, Ok f ->
-    if
-      not
-        (Ratio.equal p.Howard.cycle_time f.Howard.cycle_time
-        && p.Howard.critical_places = f.Howard.critical_places
-        && p.Howard.critical_transitions = f.Howard.critical_transitions
-        && p.Howard.potentials = f.Howard.potentials
-        && p.Howard.howard_iterations = f.Howard.howard_iterations
-        && p.Howard.cancel_iterations = f.Howard.cancel_iterations)
-    then failwith "csr bench: CSR result differs from the pointer solver"
-  | _ -> failwith "csr bench: synth-1000 did not analyze");
-  repro "pointer Howard: %7.2f ms    CSR Howard: %7.2f ms    (%.2fx)"
-    (1000. *. t_ptr) (1000. *. t_csr) (t_ptr /. t_csr);
-  repro "  verdict, witness, potentials and iteration counts are bit-identical";
-  metric "csr.howard.pointer_s" t_ptr;
-  metric "csr.howard.csr_s" t_csr;
-  metric "csr.howard.speedup" (t_ptr /. t_csr)
-
 (* -------------------------------------------------------------------- rtl *)
 
 (* The ninth oracle's cost profile: how fast the two-phase interpreter
@@ -1049,9 +1015,9 @@ let scale () =
       (match (cold, warm) with
       | Ok c, Ok w ->
         let expected = Ratio.make 128 1 in
-        if not (Ratio.equal c.Howard.cycle_time expected && Ratio.equal w.Howard.cycle_time expected)
+        if not (Ratio.equal c.Csr.cycle_time expected && Ratio.equal w.Csr.cycle_time expected)
         then Format.kasprintf failwith "scale bench: torus %s cycle time %a, expected 128/1"
-               label Ratio.pp c.Howard.cycle_time
+               label Ratio.pp c.Csr.cycle_time
       | _ -> failwith ("scale bench: torus " ^ label ^ " did not analyze"));
       let frozen = Csr.of_tmg tmg in
       let cert = Verify.of_howard_csr frozen cold in
@@ -1077,7 +1043,7 @@ let scale () =
   let grid = Generate.grid_tmg ~rows:250 ~cols:400 () in
   let g_out = Csr.cycle_time grid in
   (match g_out with
-  | Error Howard.No_cycle -> ()
+  | Error Csr.No_cycle -> ()
   | _ -> failwith "scale bench: 1e5 grid should be acyclic");
   (match Verify.check_csr (Csr.of_tmg grid) (Verify.of_howard_csr (Csr.of_tmg grid) g_out) with
   | Ok () -> ()
@@ -1087,7 +1053,7 @@ let scale () =
   let clusters = Generate.clusters_tmg ~clusters:1000 ~cluster_size:100 () in
   let c_out = Csr.cycle_time clusters in
   (match c_out with
-  | Ok r when Ratio.equal r.Howard.cycle_time (Ratio.make 128 1) -> ()
+  | Ok r when Ratio.equal r.Csr.cycle_time (Ratio.make 128 1) -> ()
   | _ -> failwith "scale bench: 1e5 clusters should run at 128/1");
   (match
      Verify.check_csr (Csr.of_tmg clusters) (Verify.of_howard_csr (Csr.of_tmg clusters) c_out)
@@ -1214,7 +1180,6 @@ let sections =
     ("ablation-memory", ablation_memory);
     ("ermes-frontier", ermes_frontier);
     ("incremental", incremental);
-    ("csr", csr_section);
     ("rtl", rtl_bench);
     ("scale", scale);
     ("runtime", runtime);

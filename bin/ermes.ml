@@ -162,17 +162,12 @@ let print_analysis sys a =
   Format.printf "%a@." (Perf.pp_analysis sys) a;
   Format.printf "critical cycle: %s@." (String.concat " -> " a.Perf.critical_cycle)
 
-(* --certify re-derives the verdict with a proof object and runs it through
-   the independent checker; any rejection is an analysis bug and exits 2. *)
-let certify_system sys =
-  let mapping = To_tmg.build sys in
-  let tmg = mapping.To_tmg.tmg in
-  let module Csr = Ermes_tmg.Csr in
-  (* Solve and assemble on the CSR core; check against a *fresh* freeze so
-     the checker never reads the solver's internal state. *)
-  let cert = Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg) in
-  match Verify.check_csr (Csr.of_tmg tmg) cert with
-  | Ok () -> Format.printf "certificate: %s — checked@." (Verify.describe cert)
+(* --certify prints the proof object the certified analysis ran through the
+   independent checker; any rejection is an analysis bug and exits 2. *)
+let print_certificate (c : Incremental.certified) =
+  match c.Incremental.checked with
+  | Ok () ->
+    Format.printf "certificate: %s — checked@." (Verify.describe c.Incremental.certificate)
   | Error v ->
     Format.eprintf "ermes: %a@." Verify.pp_violation v;
     exit 2
@@ -192,10 +187,19 @@ let analyze_cmd =
   in
   let run file simulate slack certify =
     let sys = or_die (load file) in
-    (match Perf.analyze sys with
+    let certified =
+      if certify then Some (Incremental.analyze_certified (Incremental.create sys))
+      else None
+    in
+    let outcome =
+      match certified with
+      | Some c -> c.Incremental.outcome
+      | None -> Perf.analyze sys
+    in
+    (match outcome with
      | Ok a ->
        print_analysis sys a;
-       if certify then certify_system sys;
+       Option.iter print_certificate certified;
        if slack then begin
          Format.printf "latency slack (extra cycles before the cycle time degrades):@.";
          List.iter
@@ -240,7 +244,7 @@ let analyze_cmd =
        end
      | Error f ->
        Format.printf "%a@." (Perf.pp_failure sys) f;
-       if certify then certify_system sys;
+       Option.iter print_certificate certified;
        exit 2)
   in
   Cmd.v

@@ -177,12 +177,15 @@ let analyze_certified sess =
   Obs.incr "incremental.analyses";
   Obs.incr "incremental.certified";
   let raw = Csr.solve sess.solver in
-  let tmg = sess.mapping.To_tmg.tmg in
-  let certificate = Ermes_verify.Verify.of_howard tmg raw in
+  (* The checker reads a fresh freeze of the current net, never the warm
+     solver's arrays; the certificate's rank vectors come off the same
+     freeze. *)
+  let fresh = Csr.of_tmg sess.mapping.To_tmg.tmg in
+  let certificate = Ermes_verify.Verify.of_howard_csr fresh raw in
   {
     outcome = Perf.of_howard sess.mapping raw;
     certificate;
-    checked = Ermes_verify.Verify.check tmg certificate;
+    checked = Ermes_verify.Verify.check_csr fresh certificate;
   }
 
 let analyze_exn sess =

@@ -16,7 +16,7 @@
       falls back to a full rebuild —
 
     then re-runs Howard warm-started from the previous converged policy
-    ({!Ermes_tmg.Howard.solve}). Results are equivalent to a fresh
+    ({!Ermes_tmg.Csr.solve}). Results are equivalent to a fresh
     [Perf.analyze]: identical cycle time (it is exact in both paths, thanks
     to certification), identical deadlock verdicts and dead cycles, and a
     critical cycle that is genuinely critical — though possibly a different
@@ -51,11 +51,13 @@ type certified = {
 val analyze_certified : t -> certified
 (** Like {!analyze}, but every verdict — live cycle time, deadlock, or
     acyclic — carries a certificate that has been run through
-    {!Ermes_verify.Verify.check}. Warm starts, cached policies and
+    {!Ermes_verify.Verify.check_csr}. Warm starts, cached policies and
     incremental edits make no difference to the proof obligations: the
-    certificate is checked against the raw current net. Costs one extra
-    O(E) pass over the net per call; the plain {!analyze} stays available
-    for tight probe loops. *)
+    certificate is checked against a fresh freeze of the current net.
+    Costs one extra freeze and O(E) pass over the net per call; the plain
+    {!analyze} stays available for tight probe loops. On a fresh session
+    ({!create} then [analyze_certified]) this is the whole one-shot
+    certified analysis: one build, two freezes, one cold solve. *)
 
 val analyze_exn : t -> Perf.analysis
 (** @raise Failure on deadlock or an acyclic net. *)

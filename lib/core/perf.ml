@@ -1,7 +1,6 @@
 module System = Ermes_slm.System
 module To_tmg = Ermes_slm.To_tmg
 module Tmg = Ermes_tmg.Tmg
-module Howard = Ermes_tmg.Howard
 module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module Ratio = Ermes_tmg.Ratio
@@ -29,21 +28,21 @@ let of_howard mapping outcome =
   | Ok r ->
     Ok
       {
-        cycle_time = r.Howard.cycle_time;
+        cycle_time = r.Csr.cycle_time;
         critical_processes =
-          To_tmg.processes_on_cycle mapping r.Howard.critical_transitions;
+          To_tmg.processes_on_cycle mapping r.Csr.critical_transitions;
         critical_channels =
-          To_tmg.channels_on_cycle mapping r.Howard.critical_transitions;
+          To_tmg.channels_on_cycle mapping r.Csr.critical_transitions;
         critical_cycle =
-          List.map (Tmg.transition_name tmg) r.Howard.critical_transitions;
+          List.map (Tmg.transition_name tmg) r.Csr.critical_transitions;
         critical_delay =
           List.fold_left (fun acc t -> acc + Tmg.delay tmg t) 0
-            r.Howard.critical_transitions;
+            r.Csr.critical_transitions;
         critical_tokens =
           List.fold_left (fun acc p -> acc + Tmg.tokens tmg p) 0
-            r.Howard.critical_places;
+            r.Csr.critical_places;
       }
-  | Error (Howard.Deadlock dc) ->
+  | Error (Csr.Deadlock dc) ->
     let ts = dc.Liveness.dead_transitions in
     Error
       (Deadlock
@@ -52,7 +51,7 @@ let of_howard mapping outcome =
            dead_channels = To_tmg.channels_on_cycle mapping ts;
            dead_cycle = List.map (Tmg.transition_name tmg) ts;
          })
-  | Error Howard.No_cycle -> Error No_cycle
+  | Error Csr.No_cycle -> Error No_cycle
 
 let analyze sys =
   let mapping = To_tmg.build sys in
@@ -109,7 +108,7 @@ let slack_of_transitions sys transitions_of objects what =
   match Csr.cycle_time tmg with
   | Error _ -> failwith (Printf.sprintf "Perf.%s: system deadlocks or has no cycle" what)
   | Ok r ->
-    let num = Ratio.num r.Howard.cycle_time and den = Ratio.den r.Howard.cycle_time in
+    let num = Ratio.num r.Csr.cycle_time and den = Ratio.den r.Csr.cycle_time in
     List.map
       (fun x ->
         (* A latency bump of s raises the delay of {e every} unfolded

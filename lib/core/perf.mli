@@ -40,11 +40,12 @@ val analyze : System.t -> (analysis, failure) result
 
 val of_howard :
   Ermes_slm.To_tmg.mapping ->
-  (Ermes_tmg.Howard.result, Ermes_tmg.Howard.error) result ->
+  (Ermes_tmg.Csr.result, Ermes_tmg.Csr.error) result ->
   (analysis, failure) result
 (** Translate a raw Howard outcome into system-level terms using the mapping
-    the TMG was built with. [analyze] is [of_howard m (cycle_time m.tmg)];
-    {!Incremental} sessions reuse the translation with a warm solver. *)
+    the TMG was built with. [analyze] is
+    [of_howard m (Csr.cycle_time m.tmg)]; {!Incremental} sessions reuse the
+    translation with a warm solver. *)
 
 val cycle_time_exn : System.t -> Ratio.t
 (** @raise Failure on deadlock (with a diagnostic message). For tests and

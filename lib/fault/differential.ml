@@ -4,9 +4,7 @@ module To_tmg = Ermes_slm.To_tmg
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
 module Liveness = Ermes_tmg.Liveness
-module Howard = Ermes_tmg.Howard
-module Karp = Ermes_tmg.Karp
-module Lawler = Ermes_tmg.Lawler
+module Csr = Ermes_tmg.Csr
 module Token_game = Ermes_tmg.Token_game
 module Firing = Ermes_tmg.Firing
 module Verify = Ermes_verify.Verify
@@ -23,27 +21,36 @@ let agreed r = r.mismatches = []
 
 let rs = Ratio.to_string
 
+(* The certificate checker is its own oracle: every verdict must come with
+   a proof object the independent O(E) checker accepts. [fresh] is a freeze
+   no solver has read. *)
+let check_certificate add fresh name cert =
+  match Verify.check_csr fresh cert with
+  | Ok () -> ()
+  | Error v ->
+    Printf.ksprintf add "verify: %s certificate rejected [%s]: %s" name
+      v.Verify.obligation v.Verify.detail
+
 (* Karp solves the cycle-mean problem, i.e. the unit-token cycle-ratio
    problem; cross-check it against Howard on a copy of the marking where
    every place holds exactly one token, then restore. *)
 let check_karp add tmg =
-  let add fmt = Printf.ksprintf add fmt in
   let saved = List.map (fun p -> (p, Tmg.tokens tmg p)) (Tmg.places tmg) in
   List.iter (fun (p, _) -> Tmg.set_tokens tmg p 1) saved;
-  (match Verify.check tmg (Verify.of_karp_unit tmg (Karp.of_unit_tmg_certified tmg)) with
-  | Ok () -> ()
-  | Error v ->
-    add "verify: karp certificate rejected [%s]: %s" v.Verify.obligation v.Verify.detail);
-  (match (Howard.cycle_time tmg, Karp.of_unit_tmg tmg) with
-  | Ok h, Some k ->
-    if not (Ratio.equal h.Howard.cycle_time k) then
+  let karp = Csr.karp_unit_certified (Csr.of_tmg tmg) in
+  let fresh = Csr.of_tmg tmg in
+  check_certificate add fresh "karp" (Verify.of_certified fresh karp);
+  let add fmt = Printf.ksprintf add fmt in
+  (match (Csr.cycle_time tmg, karp) with
+  | Ok h, Ok (k, _, _) ->
+    if not (Ratio.equal h.Csr.cycle_time k) then
       add "karp: unit-token cycle mean %s, howard says %s" (rs k)
-        (rs h.Howard.cycle_time)
-  | Error Howard.No_cycle, None -> ()
-  | Error (Howard.Deadlock _), _ -> add "howard: deadlock on a unit-token net"
-  | Ok h, None ->
-    add "karp: no cycle where howard found cycle time %s" (rs h.Howard.cycle_time)
-  | Error Howard.No_cycle, Some k ->
+        (rs h.Csr.cycle_time)
+  | Error Csr.No_cycle, Error _ -> ()
+  | Error (Csr.Deadlock _), _ -> add "howard: deadlock on a unit-token net"
+  | Ok h, Error _ ->
+    add "karp: no cycle where howard found cycle time %s" (rs h.Csr.cycle_time)
+  | Error Csr.No_cycle, Ok (k, _, _) ->
     add "karp: cycle mean %s where howard found no cycle" (rs k));
   List.iter (fun (p, t) -> Tmg.set_tokens tmg p t) saved
 
@@ -212,41 +219,34 @@ let run_case ?(rounds = 96) ?(rtl = true) sys scenario =
     Fault.remove_tokens m scenario;
     let tmg = m.To_tmg.tmg in
     let dead_per_liveness = Liveness.find_dead_cycle tmg <> None in
-    let howard_raw = Howard.cycle_time tmg in
+    let howard_raw = Csr.cycle_time tmg in
     let verdict =
       match howard_raw with
-      | Ok h -> Some (Live h.Howard.cycle_time)
-      | Error (Howard.Deadlock _) -> Some Dead
-      | Error Howard.No_cycle ->
+      | Ok h -> Some (Live h.Csr.cycle_time)
+      | Error (Csr.Deadlock _) -> Some Dead
+      | Error Csr.No_cycle ->
         add "howard: no cycle in the TMG of a valid system";
         None
     in
-    (* The certificate checker is its own oracle: every verdict above must
-       come with a proof object the independent O(E) checker accepts. *)
-    let check_certificate name cert =
-      match Verify.check tmg cert with
-      | Ok () -> ()
-      | Error v ->
-        add "verify: %s certificate rejected [%s]: %s" name v.Verify.obligation
-          v.Verify.detail
-    in
-    check_certificate "howard" (Verify.of_howard tmg howard_raw);
-    check_certificate "lawler" (Verify.of_lawler tmg (Lawler.certified tmg));
-    check_certificate "liveness" (Verify.of_liveness tmg);
+    let lawler = Csr.lawler_certified (Csr.of_tmg tmg) in
+    let fresh = Csr.of_tmg tmg in
+    check_certificate record fresh "howard" (Verify.of_howard_csr fresh howard_raw);
+    check_certificate record fresh "lawler" (Verify.of_certified fresh lawler);
+    check_certificate record fresh "liveness" (Verify.of_liveness tmg);
     (match (verdict, dead_per_liveness) with
     | Some Dead, false -> add "liveness: howard reports deadlock, commoner finds no token-free cycle"
     | Some (Live ct), true ->
       add "liveness: commoner finds a token-free cycle, howard reports cycle time %s" (rs ct)
     | _ -> ());
-    (match (Lawler.cycle_time tmg, verdict) with
-    | Ok (ct, _), Some (Live h) ->
+    (match (lawler, verdict) with
+    | Ok (ct, _, _), Some (Live h) ->
       if not (Ratio.equal ct h) then add "lawler: %s, howard says %s" (rs ct) (rs h)
-    | Ok (ct, _), Some Dead ->
+    | Ok (ct, _, _), Some Dead ->
       add "lawler: cycle time %s on a system howard deadlocks" (rs ct)
-    | Error Lawler.Deadlock, Some (Live ct) ->
+    | Error (Csr.Deadlock _), Some (Live ct) ->
       add "lawler: deadlock on a system howard times at %s" (rs ct)
-    | Error Lawler.Deadlock, Some Dead -> ()
-    | Error Lawler.No_cycle, Some _ -> add "lawler: no cycle where howard found one"
+    | Error (Csr.Deadlock _), Some Dead -> ()
+    | Error Csr.No_cycle, Some _ -> add "lawler: no cycle where howard found one"
     | _, None -> ());
     check_karp record tmg;
     (match verdict with

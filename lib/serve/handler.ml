@@ -1,8 +1,6 @@
 module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
 module Sim = Ermes_slm.Sim
-module To_tmg = Ermes_slm.To_tmg
-module Howard = Ermes_tmg.Howard
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
 module Explore = Ermes_core.Explore
@@ -156,17 +154,14 @@ let analyze_cold deps ~cancel ~id sys =
       ~extra:(fields @ [ ("design_hash", Str key); ("cached", Bool true) ])
   | None ->
     Obs.incr "serve.cache_misses";
-    let mapping = To_tmg.build sys in
-    let tmg = mapping.To_tmg.tmg in
+    let session = Incremental.create sys in
     Cancel.check cancel;
-    let howard = Howard.cycle_time tmg in
+    let c = Incremental.analyze_certified session in
     Cancel.check cancel;
-    let outcome = Perf.of_howard mapping howard in
-    let cert = Verify.of_howard tmg howard in
-    let checked = Verify.check tmg cert in
-    let status, fields = verdict_fields sys outcome in
+    let checked = c.Incremental.checked in
+    let status, fields = verdict_fields sys c.Incremental.outcome in
     let status = if Result.is_error checked then "findings" else status in
-    let fields = fields @ certificate_fields cert checked in
+    let fields = fields @ certificate_fields c.Incremental.certificate checked in
     (* Only proof-carrying verdicts are worth replaying; a rejected
        certificate signals an analysis bug and must be recomputed loudly. *)
     if Result.is_ok checked then Cache.add deps.cache key (status, fields);

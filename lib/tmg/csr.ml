@@ -26,8 +26,8 @@ module Log = (val Logs.src_log log_src)
 
 (* Rebuild both adjacency directions by counting sort over place ids, so each
    row lists its places in ascending id order — the same per-vertex order a
-   freshly built Digraph has, and the order the pointer solvers rebuild after
-   rewires ([Howard.refresh] reconstructs out-arc lists from arc-id order). *)
+   freshly built Digraph has. Rebuilding after rewires from place-id order
+   keeps every result independent of the rewiring history. *)
 let rebuild_adjacency (g : t) =
   let n = g.n and m = g.m in
   Array.fill g.out_row 0 (n + 1) 0;
@@ -180,10 +180,10 @@ let strongly_connected (g : t) =
 
 (* Mirrors Traversal.topological_sort applied to the Digraph whose vertices
    are the transitions and whose arcs are the selected places inserted in
-   ascending id order (which is how Liveness.empty_subgraph and Karp's tight
-   subgraph build theirs), including the exact leftover-predecessor walk that
+   ascending id order (which is how Liveness.empty_subgraph builds its
+   token-free subgraph), including the exact leftover-predecessor walk that
    extracts a witness cycle on failure — so ranks and witnesses are
-   bit-identical to the pointer path. *)
+   bit-identical to Liveness.live_ranks. *)
 let topo_over (g : t) ~select =
   let n = g.n in
   let indeg = Array.make (max n 1) 0 in
@@ -313,6 +313,19 @@ let topo_ranks g = topo_over g ~select:(fun _ -> true)
 (* ------------------------------------------------------------------ *)
 (* Howard policy iteration on the flat arrays                          *)
 (* ------------------------------------------------------------------ *)
+
+type result = {
+  cycle_time : Ratio.t;
+  critical_places : Tmg.place list;
+  critical_transitions : Tmg.transition list;
+  potentials : int array;
+  howard_iterations : int;
+  cancel_iterations : int;
+}
+
+type error = Deadlock of Liveness.dead_cycle | No_cycle
+
+let throughput r = Ratio.inv r.cycle_time
 
 let eps = 1e-9
 let max_iterations = 200
@@ -462,8 +475,8 @@ let compute_scc_state s =
   s.comp_count <- comp_count;
   s.scc_dirty <- false
 
-(* Re-sync the frozen arrays with the live net, mirroring Howard.refresh:
-   delay edits are absorbed by the unconditional weight re-read, endpoint
+(* Re-sync the frozen arrays with the live net: delay edits are absorbed by
+   the unconditional weight re-read, endpoint
    rewires rebuild the adjacency (from place-id order, so results never
    depend on rewiring history) and dirty the SCC state, token edits
    invalidate the cached liveness verdict, and count changes re-freeze. *)
@@ -518,9 +531,7 @@ let refresh s =
 
 (* Evaluate the current policy over the members comp_members.(lo..hi-1):
    find its cycles (recorded in discovery order in the cyc_* buffers), each
-   cycle's exact delay/token sums, and the potentials. Mirrors
-   Howard.evaluate: same walk order, same backward cycle sweep, same
-   propagation equation — identical float results. *)
+   cycle's exact delay/token sums, and the potentials. *)
 (* The policy-evaluation and improvement sweeps below use unchecked array
    accesses: every index is a vertex or place id produced by
    [rebuild_adjacency]/[compute_scc_state] over arrays sized n/m, so the
@@ -588,7 +599,7 @@ let evaluate s lo hi =
   (* Potentials: fix each cycle's first vertex at 0, walk the cycle
      backwards, then propagate x(u) = w - lambda*t + x(succ u) over the
      reverse policy adjacency. Cycles are processed in reverse discovery
-     order, exactly like the pointer code's consed list. The cycle ratio is
+     order. The cycle ratio is
      a direct float division: both operands are exact in 64-bit floats, so
      the correctly-rounded quotient equals [Ratio.to_float (Ratio.make w t)]
      bit for bit. *)
@@ -647,8 +658,9 @@ let evaluate s lo hi =
     done
   done
 
-(* One improvement sweep, mirroring Howard.improve (ascending members,
-   ascending out-places, same eps tests). *)
+(* One improvement sweep: ascending members, ascending out-places. A vertex
+   switches to an arc reaching a strictly better chain value, or to an
+   equal-value arc with a strictly better potential. *)
 let improve s lo hi =
   let g = s.g and sc = s.scratch and in_scc = s.in_scc in
   let members = s.comp_members in
@@ -706,7 +718,7 @@ let howard_scc s lo hi =
   let best_r = ref None and best_len = ref 0 in
   let note_cycles () =
     (* Reverse discovery order with a strict comparison: among equals the
-       last-discovered cycle wins, matching the pointer code's consed list. *)
+       last-discovered cycle wins. *)
     for k = sc.cyc_count - 1 downto 0 do
       let r = Ratio.make sc.cyc_w.(k) sc.cyc_t.(k) in
       let take =
@@ -736,9 +748,11 @@ let howard_scc s lo hi =
   | Some r -> (r, !best_len, !rounds)
   | None -> assert false
 
-(* Positive-reduced-cost cycle search, mirroring Howard.find_positive_cycle
-   (same seeding scan, FIFO order, relaxation order, spurious-trigger resume).
-   [d] is relaxed in place; [mask] selects the places worth relaxing. *)
+(* Positive-reduced-cost cycle search: SPFA (FIFO Bellman-Ford) seeded with
+   every vertex that has a violated out-place, reporting a cycle once some
+   relaxation path reaches length n (a trigger whose parent chain holds no
+   cycle resets that length and resumes). [d] is relaxed in place; [mask]
+   selects the places worth relaxing. *)
 let find_positive_cycle s mask d ratio =
   let g = s.g and sc = s.scratch in
   let n = g.n in
@@ -833,7 +847,7 @@ let find_positive_cycle s mask d ratio =
     let u = qpop () in
     Array.unsafe_set in_queue u false;
     (* [d.(u)] and [plen.(u)] are re-read per arc: a self-loop place can
-       relax them mid-scan, and the pointer code sees that update. *)
+       relax them mid-scan, and later arcs of the same row must see it. *)
     for j = Array.unsafe_get fo_row u to Array.unsafe_get fo_row (u + 1) - 1 do
       let a = Array.unsafe_get fo_adj j in
       let v = Array.unsafe_get dst a in
@@ -902,14 +916,14 @@ let solve s =
   | Some dead ->
     Log.debug (fun m ->
         m "solve: dead cycle of %d places" (List.length dead.Liveness.dead_places));
-    Error (Howard.Deadlock dead)
+    Error (Deadlock dead)
   | None ->
     if s.scc_dirty then begin
       compute_scc_state s;
       Obs.incr "csr.scc.recomputed"
     end
     else Obs.incr "csr.cache.scc_hit";
-    if not (Array.exists Fun.id s.comp_cyclic) then Error Howard.No_cycle
+    if not (Array.exists Fun.id s.comp_cyclic) then Error No_cycle
     else begin
       let g = s.g and sc = s.scratch in
       let best = ref None and iters = ref 0 and win_len = ref 0 in
@@ -933,8 +947,7 @@ let solve s =
       | Some ratio ->
         (* Seed the exact certification with a concrete arc list: between
            consecutive cycle vertices pick the parallel place of maximal
-           reduced weight, scanning ascending and keeping the first maximum
-           — the same choice Howard.solve's fold makes. *)
+           reduced weight, scanning ascending and keeping the first maximum. *)
         let k = !win_len in
         let num = Ratio.num ratio and den = Ratio.den ratio in
         let seed_arcs =
@@ -972,7 +985,7 @@ let solve s =
               Ratio.pp final_ratio !iters cancels);
         Ok
           {
-            Howard.cycle_time = final_ratio;
+            cycle_time = final_ratio;
             critical_places = final_arcs;
             critical_transitions = List.map (fun a -> g.dst.(a)) final_arcs;
             potentials = Array.copy s.potentials;
@@ -982,6 +995,47 @@ let solve s =
     end
 
 let cycle_time tmg = solve (make_solver tmg)
+
+(* Integer longest-path fixpoint at reduced cost q*weight - p*tokens (SPFA
+   from every vertex at potential 0). It converges exactly when no cycle
+   has ratio above p/q, and then proves that bound for every place. *)
+let potentials_at (g : t) ratio =
+  let n = g.n in
+  let p = Ratio.num ratio and q = Ratio.den ratio in
+  let cost a = (q * g.weight.(a)) - (p * g.tokens.(a)) in
+  let d = Array.make (max n 1) 0 in
+  let in_queue = Array.make (max n 1) true in
+  let ring = Array.make (n + 1) 0 in
+  let qh = ref 0 and qt = ref 0 in
+  let qpush v =
+    ring.(!qt) <- v;
+    qt := (!qt + 1) mod (n + 1)
+  in
+  let qpop () =
+    let v = ring.(!qh) in
+    qh := (!qh + 1) mod (n + 1);
+    v
+  in
+  for u = 0 to n - 1 do
+    qpush u
+  done;
+  while !qh <> !qt do
+    let u = qpop () in
+    in_queue.(u) <- false;
+    for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
+      let a = g.out_adj.(j) in
+      let v = g.dst.(a) in
+      let nd = d.(u) + cost a in
+      if nd > d.(v) then begin
+        d.(v) <- nd;
+        if not in_queue.(v) then begin
+          in_queue.(v) <- true;
+          qpush v
+        end
+      end
+    done
+  done;
+  if n = 0 then [||] else d
 
 (* ------------------------------------------------------------------ *)
 (* Karp on the flat arrays                                             *)
@@ -1070,14 +1124,33 @@ let karp_unit (g : t) =
   done;
   !best
 
+(* Karp yields only the value p/q; the certificate is recovered from it
+   exactly. At the optimum the longest-path fixpoint exists, and summing its
+   inequalities around a critical cycle forces equality on each of its
+   places, so every critical cycle is made of tight places. Conversely any
+   cycle of tight places has reduced cost 0, i.e. attains p/q — so any cycle
+   of the tight subgraph is a witness. *)
+let karp_unit_certified (g : t) =
+  match karp_unit g with
+  | None -> Error No_cycle
+  | Some ratio -> (
+    let pot = potentials_at g ratio in
+    let p = Ratio.num ratio and q = Ratio.den ratio in
+    let tight a =
+      pot.(g.src.(a)) + (q * g.weight.(a)) - (p * g.tokens.(a)) = pot.(g.dst.(a))
+    in
+    match topo_over g ~select:tight with
+    | Ok _ -> assert false
+    | Error cycle -> Ok (ratio, cycle.Liveness.dead_places, pot))
+
 (* ------------------------------------------------------------------ *)
 (* Lawler on the flat arrays                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Bellman-Ford longest-path probe at float reduced cost w - lambda*t,
-   mirroring Lawler.positive_cycle_float (same relaxation order, same slack,
-   same extraction), so the whole binary search tracks the pointer
-   implementation float for float. *)
+(* Bellman-Ford longest-path probe at float reduced cost w - lambda*t:
+   relax every place in row order for at most n+1 rounds; if the last round
+   still changed something, walk n parent steps back from the last updated
+   vertex (landing on a cycle) and return that cycle's places. *)
 let positive_cycle_float (g : t) lambda =
   let n = g.n in
   let cost a = float_of_int g.weight.(a) -. (lambda *. float_of_int g.tokens.(a)) in
@@ -1134,50 +1207,12 @@ let exact_ratio_opt (g : t) arcs =
   let tsum = List.fold_left (fun acc a -> acc + g.tokens.(a)) 0 arcs in
   if tsum = 0 then None else Some (Ratio.make wsum tsum)
 
-let potentials_at (g : t) ratio =
-  let n = g.n in
-  let p = Ratio.num ratio and q = Ratio.den ratio in
-  let cost a = (q * g.weight.(a)) - (p * g.tokens.(a)) in
-  let d = Array.make (max n 1) 0 in
-  let in_queue = Array.make (max n 1) true in
-  let ring = Array.make (n + 1) 0 in
-  let qh = ref 0 and qt = ref 0 in
-  let qpush v =
-    ring.(!qt) <- v;
-    qt := (!qt + 1) mod (n + 1)
-  in
-  let qpop () =
-    let v = ring.(!qh) in
-    qh := (!qh + 1) mod (n + 1);
-    v
-  in
-  for u = 0 to n - 1 do
-    qpush u
-  done;
-  while !qh <> !qt do
-    let u = qpop () in
-    in_queue.(u) <- false;
-    for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
-      let a = g.out_adj.(j) in
-      let v = g.dst.(a) in
-      let nd = d.(u) + cost a in
-      if nd > d.(v) then begin
-        d.(v) <- nd;
-        if not in_queue.(v) then begin
-          in_queue.(v) <- true;
-          qpush v
-        end
-      end
-    done
-  done;
-  if n = 0 then [||] else d
-
 let lawler_certified (g : t) =
   match live_ranks g with
-  | Error _ -> Error Lawler.Deadlock
+  | Error d -> Error (Deadlock d)
   | Ok _ -> (
     match positive_cycle_float g (-1.) with
-    | None -> Error Lawler.No_cycle
+    | None -> Error No_cycle
     | Some seed ->
       let best = ref (Option.get (exact_ratio_opt g seed), seed) in
       let hi =

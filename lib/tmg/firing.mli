@@ -12,7 +12,7 @@
 
     This module executes the recurrence directly. It is an {e independent}
     characterization of the steady-state behaviour, used to validate
-    {!Howard.cycle_time} and the discrete-event simulator in the test
+    {!Csr.cycle_time} and the discrete-event simulator in the test
     suite. *)
 
 val firing_times : Tmg.t -> rounds:int -> int array array

@@ -1,7 +1,7 @@
 module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
 module To_tmg = Ermes_slm.To_tmg
-module Howard = Ermes_tmg.Howard
+module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module Ratio = Ermes_tmg.Ratio
 
@@ -271,11 +271,11 @@ let semantic_pass sys proc_pos =
     | None ->
       (* Live: probe every adjacent statement swap for a strict cycle-time
          improvement, re-using one warm solver across probes. *)
-      let solver = Howard.make_solver tmg in
-      (match Howard.solve solver with
+      let solver = Csr.make_solver tmg in
+      (match Csr.solve solver with
       | Error _ -> ()  (* acyclic or (impossible here) deadlocked: no probes *)
       | Ok base ->
-        let base_ct = base.Howard.cycle_time in
+        let base_ct = base.Csr.cycle_time in
         let probe p code keyword order set_order =
           let order = Array.of_list (order sys p) in
           let n = Array.length order in
@@ -286,8 +286,8 @@ let semantic_pass sys proc_pos =
             swapped.(i + 1) <- tmp;
             set_order sys p (Array.to_list swapped);
             To_tmg.rethread mapping sys p;
-            (match Howard.solve solver with
-            | Ok r when Ratio.( < ) r.Howard.cycle_time base_ct ->
+            (match Csr.solve solver with
+            | Ok r when Ratio.( < ) r.Csr.cycle_time base_ct ->
               let line, col =
                 try Hashtbl.find proc_pos (System.process_name sys p)
                 with Not_found -> (0, 0)
@@ -299,7 +299,7 @@ let semantic_pass sys proc_pos =
                 (System.channel_name sys order.(i))
                 (System.channel_name sys order.(i + 1))
                 (Ratio.to_string base_ct)
-                (Ratio.to_string r.Howard.cycle_time)
+                (Ratio.to_string r.Csr.cycle_time)
             | _ -> ());
             set_order sys p (Array.to_list order);
             To_tmg.rethread mapping sys p

@@ -1,17 +1,21 @@
 (** Machine-checkable certificates for TMG analyses, and their independent
     checker.
 
-    The solvers ({!Ermes_tmg.Howard}, {!Ermes_tmg.Karp},
-    {!Ermes_tmg.Lawler}, {!Ermes_tmg.Liveness}) are the trusted-computing
-    base of every verdict this toolkit emits — and with warm-started,
-    cache-heavy solving (incremental sessions, policy reuse, potential
-    reuse) that base has real state to get wrong. Each analysis therefore
-    returns a small {e certificate} whose validity implies the verdict, and
-    this module checks it {e independently}: the checker reads only the raw
-    {!Ermes_tmg.Tmg.t} through its accessors and uses exact integer
-    arithmetic — no solver code, no floats, no caches. A bug anywhere in
-    the solver stack (or a stale cache) produces a certificate the checker
-    rejects; it cannot produce a wrong verdict that still checks out.
+    The solvers ({!Ermes_tmg.Csr}'s Howard, Karp and Lawler, and
+    {!Ermes_tmg.Liveness}) are the trusted-computing base of every verdict
+    this toolkit emits — and with warm-started, cache-heavy solving
+    (incremental sessions, policy reuse, potential reuse) that base has real
+    state to get wrong. Each analysis therefore returns a small
+    {e certificate} whose validity implies the verdict, and {!check_csr}
+    checks it {e independently}: it reads a fresh {!Ermes_tmg.Csr.of_tmg}
+    of the net — never a solver's arrays — and uses exact integer
+    arithmetic: no solver code, no floats, no caches. A bug anywhere in the
+    solver stack (or a stale cache) produces a certificate the checker
+    rejects; it cannot produce a wrong verdict that still checks out. The
+    freeze itself is the one piece of shared code the checker trusts; the
+    test suite pins it by a freeze/thaw round-trip through every {!Tmg}
+    accessor and by the pointer {!Ermes_tmg.Liveness} agreeing with
+    {!Ermes_tmg.Csr.live_ranks}.
 
     Certificate semantics (paper §3: deadlock freedom ⇔ no token-free
     cycle; cycle time = maximum cycle ratio):
@@ -59,18 +63,12 @@ type violation = {
   detail : string;  (** what exactly did not hold *)
 }
 
-val check : Tmg.t -> t -> (unit, violation) result
-(** [check tmg cert] validates every proof obligation of [cert] against the
-    raw net. Uses only [Tmg] accessors and exact integer arithmetic; never
-    calls solver code. O(E). *)
-
 val check_csr : Ermes_tmg.Csr.t -> t -> (unit, violation) result
-(** The same obligations as {!check}, read off a frozen {!Ermes_tmg.Csr.t}
-    instead of the pointer net — allocation-free scans over the flat arrays,
-    suitable for million-place nets. The freeze itself joins the trusted
-    base: for full independence pass a fresh {!Ermes_tmg.Csr.of_tmg}, not a
-    solver's internal state. [check_csr (Csr.of_tmg tmg) c] accepts exactly
-    when [check tmg c] does. *)
+(** [check_csr g cert] validates every proof obligation of [cert] against
+    the frozen net [g]: allocation-free scans over the flat arrays with
+    exact integer arithmetic, never calling solver code, O(E) — suitable for
+    million-place nets. For independence pass a fresh
+    {!Ermes_tmg.Csr.of_tmg}, not a solver's internal state. *)
 
 val describe : t -> string
 (** One-line human-readable summary ("bounded: ratio 12/1, witness of 5
@@ -80,38 +78,29 @@ val pp_violation : Format.formatter -> violation -> unit
 
 (** {2 Constructors from solver outputs}
 
-    These translate each solver's native result into a certificate. They may
-    call solver code (only {!check} is independent); a disagreement between
-    the pieces they assemble yields a certificate {!check} rejects, never a
-    silently wrong one. *)
-
-val of_howard :
-  Tmg.t ->
-  (Ermes_tmg.Howard.result, Ermes_tmg.Howard.error) result ->
-  t
+    These translate each solver's native result into a certificate, reading
+    rank vectors off the CSR core ({!Ermes_tmg.Csr.live_ranks} /
+    {!Ermes_tmg.Csr.topo_ranks}). They may call solver code (only
+    {!check_csr} is independent); a disagreement between the pieces they
+    assemble yields a certificate {!check_csr} rejects, never a silently
+    wrong one. *)
 
 val of_howard_csr :
   Ermes_tmg.Csr.t ->
-  (Ermes_tmg.Howard.result, Ermes_tmg.Howard.error) result ->
+  (Ermes_tmg.Csr.result, Ermes_tmg.Csr.error) result ->
   t
-(** Like {!of_howard} but the liveness / acyclicity rank vectors are
-    computed on the CSR core ({!Ermes_tmg.Csr.live_ranks} /
-    {!Ermes_tmg.Csr.topo_ranks}) — no pointer-net traversal anywhere on the
-    certification path. On a freshly built net the resulting certificate is
-    bit-identical to {!of_howard}'s. *)
+(** From {!Ermes_tmg.Csr.solve} / {!Ermes_tmg.Csr.cycle_time}. *)
 
-val of_lawler :
-  Tmg.t ->
-  (Ratio.t * Tmg.place list * int array, Ermes_tmg.Lawler.error) result ->
+val of_certified :
+  Ermes_tmg.Csr.t ->
+  (Ratio.t * Tmg.place list * int array, Ermes_tmg.Csr.error) result ->
   t
-(** From {!Ermes_tmg.Lawler.certified}. A [Deadlock] outcome is completed
-    with a token-free witness cycle from {!Ermes_tmg.Liveness}. *)
-
-val of_karp_unit : Tmg.t -> (Ratio.t * Tmg.place list * int array) option -> t
-(** From {!Ermes_tmg.Karp.of_unit_tmg_certified} on a unit-token net.
-    [None] (acyclic graph) becomes {!Acyclic}. *)
+(** From {!Ermes_tmg.Csr.lawler_certified} or
+    {!Ermes_tmg.Csr.karp_unit_certified}: ratio, witness cycle and
+    potentials. *)
 
 val of_liveness : Tmg.t -> t
 (** The liveness-only certificate: {!Deadlocked} with a token-free witness
     cycle on a dead net, {!Live} with the token-free-subgraph ranks
-    otherwise — checkable proof of the deadlock verdict alone. *)
+    otherwise — checkable proof of the deadlock verdict alone. Built by the
+    pointer {!Ermes_tmg.Liveness}, so it is independent of the CSR core. *)

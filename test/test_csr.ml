@@ -1,21 +1,22 @@
-(* The flat CSR core against the pointer solvers it replaces.
+(* The flat CSR core held to independent references.
 
-   The contract under test is equivalence, not mere agreement: on a freshly
-   built net the CSR Howard port must reproduce the pointer solver bit for
-   bit — verdict, exact ratio, witness cycle, integer potentials and both
-   iteration counters — because incremental sessions and certificates were
-   built on the pointer solver's exact outputs. Karp, Lawler and the
-   liveness/topological ranks get the same treatment, the freeze/thaw pair
-   must round-trip through every accessor, and the iterative SCC must take a
-   10^5-vertex path graph in stride where the old recursive walk blew the
-   OCaml stack. *)
+   Howard's policy iteration is the production solver. Its exact ratio and
+   verdict must match Lawler's binary search and, on these small nets, the
+   enumeration of every elementary cycle (Johnson's algorithm, {!Cycles}) —
+   algorithms that share no code with it beyond the freeze — and its
+   deadlock verdicts must match the pointer {!Liveness}. Karp's value and
+   its certified form must agree with enumeration too. Every certificate
+   the core assembles must pass the one checker, [Verify.check_csr], on a
+   fresh freeze. The checker's trust in that freeze rests on two more
+   groups: freeze/thaw must round-trip through every accessor, and the
+   pointer {!Liveness} must reproduce [Csr.live_ranks] bit for bit. The
+   iterative SCC must take a 10^5-vertex path graph in stride where the old
+   recursive walk blew the OCaml stack. *)
 
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
-module Howard = Ermes_tmg.Howard
-module Karp = Ermes_tmg.Karp
-module Lawler = Ermes_tmg.Lawler
 module Liveness = Ermes_tmg.Liveness
+module Cycles = Ermes_tmg.Cycles
 module Csr = Ermes_tmg.Csr
 module Generate = Ermes_synth.Generate
 module To_tmg = Ermes_slm.To_tmg
@@ -52,55 +53,70 @@ let unit_tmg_gen =
 
 let fail fmt = Format.kasprintf (fun s -> Alcotest.failf "%s" s) fmt
 
-(* ---- Howard: bit-identical runs ---------------------------------------- *)
+(* ---- Howard against Lawler, enumeration and Liveness -------------------- *)
 
 let same_dead (a : Liveness.dead_cycle) (b : Liveness.dead_cycle) =
   a.Liveness.dead_places = b.Liveness.dead_places
   && a.Liveness.dead_transitions = b.Liveness.dead_transitions
 
-let prop_howard_bit_identical tmg =
-  (match (Howard.cycle_time tmg, Csr.cycle_time tmg) with
-  | Ok p, Ok c ->
-    if not (Ratio.equal p.Howard.cycle_time c.Howard.cycle_time) then
-      fail "ratio: %a vs %a" Ratio.pp p.Howard.cycle_time Ratio.pp
-        c.Howard.cycle_time;
-    if p.Howard.critical_places <> c.Howard.critical_places then
-      fail "witness places differ";
-    if p.Howard.critical_transitions <> c.Howard.critical_transitions then
-      fail "witness transitions differ";
-    if p.Howard.potentials <> c.Howard.potentials then fail "potentials differ";
-    if p.Howard.howard_iterations <> c.Howard.howard_iterations then
-      fail "policy rounds: %d vs %d" p.Howard.howard_iterations
-        c.Howard.howard_iterations;
-    if p.Howard.cancel_iterations <> c.Howard.cancel_iterations then
-      fail "cancel rounds: %d vs %d" p.Howard.cancel_iterations
-        c.Howard.cancel_iterations
-  | Error (Howard.Deadlock a), Error (Howard.Deadlock b) ->
-    if not (same_dead a b) then fail "deadlock witnesses differ"
-  | Error Howard.No_cycle, Error Howard.No_cycle -> ()
-  | _ -> fail "verdicts differ");
+let lawler tmg = Csr.lawler_certified (Csr.of_tmg tmg)
+
+let prop_howard_exact tmg =
+  let howard = Csr.cycle_time tmg in
+  (match (howard, lawler tmg) with
+  | Ok h, Ok (l, _, _) ->
+    if not (Ratio.equal h.Csr.cycle_time l) then
+      fail "howard %a, lawler %a" Ratio.pp h.Csr.cycle_time Ratio.pp l
+  | Error (Csr.Deadlock _), Error (Csr.Deadlock _) | Error Csr.No_cycle, Error Csr.No_cycle
+    ->
+    ()
+  | _ -> fail "howard and lawler verdicts differ");
+  (match (howard, Liveness.find_dead_cycle tmg) with
+  | Error (Csr.Deadlock _), Some _ -> ()
+  | Error (Csr.Deadlock _), None | (Ok _ | Error Csr.No_cycle), Some _ ->
+    fail "howard's deadlock verdict differs from Liveness"
+  | (Ok _ | Error Csr.No_cycle), None -> (
+    (* Enumeration is ground truth on live nets only: a token-free cycle
+       has no ratio. *)
+    match (howard, Cycles.max_cycle_ratio_brute tmg) with
+    | Ok h, Some (b, _) ->
+      if not (Ratio.equal h.Csr.cycle_time b) then
+        fail "howard %a, enumeration %a" Ratio.pp h.Csr.cycle_time Ratio.pp b
+    | Error Csr.No_cycle, None -> ()
+    | _ -> fail "howard and enumeration verdicts differ"));
   true
 
-(* ---- Karp / Lawler / ranks: same answers off the same arrays ------------ *)
+(* ---- Karp / Lawler / ranks against the references ----------------------- *)
 
 let prop_karp_equal tmg =
   let g = Csr.of_tmg tmg in
-  (match (Karp.of_unit_tmg tmg, Csr.karp_unit g) with
-  | None, None -> ()
-  | Some a, Some b when Ratio.equal a b -> ()
+  (match (Csr.karp_unit g, Csr.karp_unit_certified g, Cycles.max_cycle_ratio_brute tmg) with
+  | None, Error Csr.No_cycle, None -> ()
+  | Some k, Ok (kc, witness, _), Some (b, _) ->
+    if not (Ratio.equal k kc && Ratio.equal k b) then
+      fail "karp %a, certified %a, enumeration %a" Ratio.pp k Ratio.pp kc Ratio.pp b;
+    (match Tmg.cycle_ratio tmg witness with
+    | Some w when Ratio.equal w k -> ()
+    | _ -> fail "karp witness does not attain the mean")
   | _ -> fail "karp verdicts differ");
   true
 
 let prop_lawler_equal tmg =
-  let g = Csr.of_tmg tmg in
-  (match (Lawler.certified tmg, Csr.lawler_certified g) with
-  | Ok (ra, wa, pa), Ok (rb, wb, pb) ->
-    if not (Ratio.equal ra rb) then fail "lawler ratio differs";
-    if wa <> wb then fail "lawler witness differs";
-    if pa <> pb then fail "lawler potentials differ"
-  | Error Lawler.Deadlock, Error Lawler.Deadlock -> ()
-  | Error Lawler.No_cycle, Error Lawler.No_cycle -> ()
-  | _ -> fail "lawler verdicts differ");
+  (match (lawler tmg, Liveness.live_ranks tmg) with
+  | Error (Csr.Deadlock a), Error b ->
+    if not (same_dead a b) then fail "dead cycles differ"
+  | Error (Csr.Deadlock _), Ok _ | (Ok _ | Error Csr.No_cycle), Error _ ->
+    fail "lawler's deadlock verdict differs from Liveness"
+  | Ok (l, witness, _), Ok _ -> (
+    (match Tmg.cycle_ratio tmg witness with
+    | Some w when Ratio.equal w l -> ()
+    | _ -> fail "lawler witness does not attain its ratio");
+    match Cycles.max_cycle_ratio_brute tmg with
+    | Some (b, _) when Ratio.equal b l -> ()
+    | _ -> fail "lawler %a disagrees with enumeration" Ratio.pp l)
+  | Error Csr.No_cycle, Ok _ ->
+    if Cycles.max_cycle_ratio_brute tmg <> None then
+      fail "lawler finds no cycle, enumeration does");
   true
 
 let prop_live_ranks_equal tmg =
@@ -111,22 +127,20 @@ let prop_live_ranks_equal tmg =
   | _ -> fail "liveness verdicts differ");
   true
 
-(* ---- certificates cross the representation boundary --------------------- *)
+(* ---- every certificate passes the one checker ---------------------------- *)
 
-let prop_certificates_cross_accepted tmg =
-  let g = Csr.of_tmg tmg in
-  let from_csr = Verify.of_howard_csr g (Csr.cycle_time tmg) in
-  let from_ptr = Verify.of_howard tmg (Howard.cycle_time tmg) in
+let prop_certificates_accepted tmg =
+  let fresh = Csr.of_tmg tmg in
   List.iter
     (fun (label, cert) ->
-      (match Verify.check tmg cert with
+      match Verify.check_csr fresh cert with
       | Ok () -> ()
-      | Error v -> fail "%s rejected by check: %a" label Verify.pp_violation v);
-      match Verify.check_csr g cert with
-      | Ok () -> ()
-      | Error v ->
-        fail "%s rejected by check_csr: %a" label Verify.pp_violation v)
-    [ ("csr certificate", from_csr); ("pointer certificate", from_ptr) ];
+      | Error v -> fail "%s certificate rejected: %a" label Verify.pp_violation v)
+    [
+      ("howard", Verify.of_howard_csr fresh (Csr.cycle_time tmg));
+      ("lawler", Verify.of_certified fresh (lawler tmg));
+      ("liveness", Verify.of_liveness tmg);
+    ];
   true
 
 (* ---- freeze / thaw round-trip ------------------------------------------- *)
@@ -169,7 +183,7 @@ let test_path_stress () =
   let { Csr.comp_count; _ } = Csr.strongly_connected g in
   Alcotest.(check int) "singleton components" n comp_count;
   (match Csr.cycle_time tmg with
-  | Error Howard.No_cycle -> ()
+  | Error Csr.No_cycle -> ()
   | _ -> Alcotest.fail "expected No_cycle on a path graph");
   match Csr.topo_ranks g with
   | Error _ -> Alcotest.fail "path graph is acyclic"
@@ -192,27 +206,29 @@ let test_ring_stress () =
   let { Csr.comp_count; _ } = Csr.strongly_connected g in
   Alcotest.(check int) "one component" 1 comp_count;
   match Csr.cycle_time tmg with
-  | Ok r -> Helpers.check_ratio "ring cycle time" (Ratio.make 1 1) r.Howard.cycle_time
+  | Ok r -> Helpers.check_ratio "ring cycle time" (Ratio.make 1 1) r.Csr.cycle_time
   | Error _ -> Alcotest.fail "ring is live and cyclic"
 
 (* ---- a realistic net: the synthetic SoC family -------------------------- *)
 
-let test_synth_bit_identical () =
+let test_synth_exact () =
   let sys = Generate.scaled ~processes:200 ~channels:300 () in
   let tmg = (To_tmg.build sys).To_tmg.tmg in
-  assert (prop_howard_bit_identical tmg)
+  (match (Csr.cycle_time tmg, lawler tmg) with
+  | Ok h, Ok (l, _, _) -> Helpers.check_ratio "howard = lawler" l h.Csr.cycle_time
+  | _ -> Alcotest.fail "synth-200 should be live and cyclic");
+  assert (prop_certificates_accepted tmg)
 
 let () =
   Alcotest.run "csr"
     [
       ( "howard",
         [
-          Helpers.qtest ~count:300 "bit-identical (live nets)"
-            Helpers.live_tmg_arbitrary prop_howard_bit_identical;
-          Helpers.qtest ~count:300 "bit-identical (raw nets)" raw_tmg_gen
-            prop_howard_bit_identical;
-          Alcotest.test_case "bit-identical (synth-200)" `Quick
-            test_synth_bit_identical;
+          Helpers.qtest ~count:300 "exact vs Lawler, brute (live nets)"
+            Helpers.live_tmg_arbitrary prop_howard_exact;
+          Helpers.qtest ~count:300 "exact vs Lawler, brute (raw nets)"
+            raw_tmg_gen prop_howard_exact;
+          Alcotest.test_case "exact vs Lawler (synth-200)" `Quick test_synth_exact;
         ] );
       ( "cross-check",
         [
@@ -225,10 +241,10 @@ let () =
         ] );
       ( "certificates",
         [
-          Helpers.qtest ~count:200 "accepted by both checkers (live nets)"
-            Helpers.live_tmg_arbitrary prop_certificates_cross_accepted;
-          Helpers.qtest ~count:200 "accepted by both checkers (raw nets)"
-            raw_tmg_gen prop_certificates_cross_accepted;
+          Helpers.qtest ~count:200 "accepted by check_csr (live nets)"
+            Helpers.live_tmg_arbitrary prop_certificates_accepted;
+          Helpers.qtest ~count:200 "accepted by check_csr (raw nets)" raw_tmg_gen
+            prop_certificates_accepted;
         ] );
       ( "round-trip",
         [

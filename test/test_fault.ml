@@ -12,7 +12,7 @@ module Soc_format = Ermes_slm.Soc_format
 module Motivating = Ermes_slm.Motivating
 module Ratio = Ermes_tmg.Ratio
 module Liveness = Ermes_tmg.Liveness
-module Howard = Ermes_tmg.Howard
+module Csr = Ermes_tmg.Csr
 module Perf = Ermes_core.Perf
 module Fault = Ermes_fault.Fault
 module Differential = Ermes_fault.Differential
@@ -101,9 +101,9 @@ let token_removal_verdicts sys victim =
   Fault.remove_tokens m scenario;
   let commoner = Liveness.find_dead_cycle m.To_tmg.tmg <> None in
   let howard =
-    match Howard.cycle_time m.To_tmg.tmg with
-    | Error (Howard.Deadlock _) -> true
-    | Ok _ | Error Howard.No_cycle -> false
+    match Csr.cycle_time m.To_tmg.tmg with
+    | Error (Csr.Deadlock _) -> true
+    | Ok _ | Error Csr.No_cycle -> false
   in
   let watchdog =
     match Sim.steady_cycle_time ~hooks:(Fault.hooks scenario) sys with

@@ -6,7 +6,7 @@ module Soc_format = Ermes_slm.Soc_format
 module Motivating = Ermes_slm.Motivating
 module Heap = Ermes_slm.Heap
 module Tmg = Ermes_tmg.Tmg
-module Howard = Ermes_tmg.Howard
+module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module Ratio = Ermes_tmg.Ratio
 
@@ -102,19 +102,19 @@ let test_system_copy_independent () =
 
 let analyze sys =
   let m = To_tmg.build sys in
-  Howard.cycle_time m.To_tmg.tmg
+  Csr.cycle_time m.To_tmg.tmg
 
 let test_motivating_reference_results () =
   Alcotest.(check (float 0.)) "36 order combinations" 36.
     (System.order_combinations (Motivating.system ()));
   (match analyze (Motivating.suboptimal ()) with
-   | Ok res -> Helpers.check_ratio "suboptimal CT = 20" (r 20 1) res.Howard.cycle_time
+   | Ok res -> Helpers.check_ratio "suboptimal CT = 20" (r 20 1) res.Csr.cycle_time
    | Error _ -> Alcotest.fail "suboptimal deadlocked");
   (match analyze (Motivating.optimal ()) with
-   | Ok res -> Helpers.check_ratio "optimal CT = 12" (r 12 1) res.Howard.cycle_time
+   | Ok res -> Helpers.check_ratio "optimal CT = 12" (r 12 1) res.Csr.cycle_time
    | Error _ -> Alcotest.fail "optimal deadlocked");
   match analyze (Motivating.deadlocking ()) with
-  | Error (Howard.Deadlock _) -> ()
+  | Error (Csr.Deadlock _) -> ()
   | _ -> Alcotest.fail "deadlocking order not detected"
 
 let test_motivating_deadlock_cycle_matches_paper () =
@@ -133,7 +133,7 @@ let test_motivating_deadlock_cycle_matches_paper () =
 let test_motivating_throughput () =
   (* Paper: suboptimal throughput 0.05 = 1/20. *)
   match analyze (Motivating.suboptimal ()) with
-  | Ok res -> Helpers.check_ratio "throughput 1/20" (r 1 20) (Howard.throughput res)
+  | Ok res -> Helpers.check_ratio "throughput 1/20" (r 1 20) (Csr.throughput res)
   | Error _ -> Alcotest.fail "deadlock"
 
 (* ---- TMG construction ------------------------------------------------------ *)
@@ -211,7 +211,7 @@ let test_puts_first_breaks_two_cycle () =
     sys
   in
   (match analyze (build System.Gets_first) with
-   | Error (Howard.Deadlock _) -> ()
+   | Error (Csr.Deadlock _) -> ()
    | _ -> Alcotest.fail "gets-first feedback pair should deadlock");
   match analyze (build System.Puts_first) with
   | Ok _ -> ()
@@ -249,7 +249,7 @@ let test_sim_pipeline_rate () =
   let sys = pipeline2 () in
   match (Sim.steady_cycle_time sys, analyze sys) with
   | Ok (Sim.Period measured), Ok res ->
-    Helpers.check_ratio "sim = analysis" res.Howard.cycle_time measured
+    Helpers.check_ratio "sim = analysis" res.Csr.cycle_time measured
   | _ -> Alcotest.fail "simulation or analysis failed"
 
 let test_sim_motivating () =
@@ -296,16 +296,16 @@ let prop_sim_matches_analysis =
   Helpers.qtest ~count:60 "simulated steady state equals analytic cycle time"
     Helpers.dag_system_gen (fun sys ->
       match (analyze sys, Sim.steady_cycle_time ~rounds:96 sys) with
-      | Ok res, Ok (Sim.Period measured) -> Ratio.equal res.Howard.cycle_time measured
-      | Error (Howard.Deadlock _), Ok (Sim.Deadlock _) -> true
+      | Ok res, Ok (Sim.Period measured) -> Ratio.equal res.Csr.cycle_time measured
+      | Error (Csr.Deadlock _), Ok (Sim.Deadlock _) -> true
       | _ -> false)
 
 let prop_sim_matches_analysis_with_feedback =
   Helpers.qtest ~count:40 "simulation = analysis on feedback systems"
     Helpers.feedback_system_gen (fun sys ->
       match (analyze sys, Sim.steady_cycle_time ~rounds:96 sys) with
-      | Ok res, Ok (Sim.Period measured) -> Ratio.equal res.Howard.cycle_time measured
-      | Error (Howard.Deadlock _), Ok (Sim.Deadlock _) -> true
+      | Ok res, Ok (Sim.Period measured) -> Ratio.equal res.Csr.cycle_time measured
+      | Error (Csr.Deadlock _), Ok (Sim.Deadlock _) -> true
       | _ -> false)
 
 let prop_deadlock_agreement =
@@ -317,7 +317,7 @@ let prop_deadlock_agreement =
       Helpers.permute_orders sys draws;
       match (analyze sys, Sim.steady_cycle_time ~rounds:16 sys) with
       | Ok _, Ok (Sim.Period _ | Sim.No_period) -> true
-      | Error (Howard.Deadlock _), Ok (Sim.Deadlock _) -> true
+      | Error (Csr.Deadlock _), Ok (Sim.Deadlock _) -> true
       | _ -> false)
 
 let test_sim_max_cycles_cap () =
@@ -402,12 +402,12 @@ let test_fifo_decouples_suboptimal_order () =
   (* The motivating example's suboptimal order costs CT 20 under rendezvous;
      single-slot FIFOs absorb the cross-coupling entirely. *)
   let base = Motivating.suboptimal () in
-  let base_ct = match analyze base with Ok r -> r.Howard.cycle_time | Error _ -> assert false in
+  let base_ct = match analyze base with Ok r -> r.Csr.cycle_time | Error _ -> assert false in
   Helpers.check_ratio "rendezvous" (r 20 1) base_ct;
   let sys = all_fifo 1 (Motivating.suboptimal ()) in
   match analyze sys with
   | Ok res ->
-    Alcotest.(check bool) "FIFO strictly faster" true Ratio.(res.Howard.cycle_time < base_ct)
+    Alcotest.(check bool) "FIFO strictly faster" true Ratio.(res.Csr.cycle_time < base_ct)
   | Error _ -> Alcotest.fail "deadlock"
 
 let test_fifo_resolves_protocol_deadlock () =
@@ -415,7 +415,7 @@ let test_fifo_resolves_protocol_deadlock () =
      cycle, so buffering resolves it. *)
   let sys = all_fifo 1 (Motivating.deadlocking ()) in
   match (analyze sys, Sim.steady_cycle_time ~rounds:64 sys) with
-  | Ok a, Ok (Sim.Period m) -> Helpers.check_ratio "analysis = sim" a.Howard.cycle_time m
+  | Ok a, Ok (Sim.Period m) -> Helpers.check_ratio "analysis = sim" a.Csr.cycle_time m
   | _ -> Alcotest.fail "FIFO should make the protocol deadlock live"
 
 let test_fifo_cannot_fix_data_dependence_cycle () =
@@ -432,7 +432,7 @@ let test_fifo_cannot_fix_data_dependence_cycle () =
   ignore (System.add_channel sys ~name:"o" ~src:b ~dst:snk ~latency:1);
   ignore (all_fifo 16 sys);
   (match analyze sys with
-   | Error (Howard.Deadlock _) -> ()
+   | Error (Csr.Deadlock _) -> ()
    | _ -> Alcotest.fail "data-dependence cycle must deadlock despite FIFOs");
   match Sim.steady_cycle_time ~rounds:8 sys with
   | Ok (Sim.Deadlock _) -> ()
@@ -453,7 +453,7 @@ let prop_fifo_depth_monotone =
     (fun sys ->
       let ct depth =
         let s = all_fifo depth (System.copy sys) in
-        match analyze s with Ok res -> Some res.Howard.cycle_time | Error _ -> None
+        match analyze s with Ok res -> Some res.Csr.cycle_time | Error _ -> None
       in
       match (ct 1, ct 2, ct 8) with
       | Some a, Some b, Some c -> Ratio.(b <= a) && Ratio.(c <= b)
@@ -465,7 +465,7 @@ let prop_fifo_sim_matches_analysis =
     (fun (sys, depth) ->
       let sys = all_fifo depth sys in
       match (analyze sys, Sim.steady_cycle_time ~rounds:96 sys) with
-      | Ok res, Ok (Sim.Period m) -> Ratio.equal res.Howard.cycle_time m
+      | Ok res, Ok (Sim.Period m) -> Ratio.equal res.Csr.cycle_time m
       | _ -> false)
 
 let prop_fifo_mixed_kinds_consistent =
@@ -487,8 +487,8 @@ let prop_fifo_mixed_kinds_consistent =
               (System.Multi_rate { produce = 1; consume = 1; depth = d }))
         (System.channels sys);
       match (analyze sys, Sim.steady_cycle_time ~rounds:96 sys) with
-      | Ok res, Ok (Sim.Period m) -> Ratio.equal res.Howard.cycle_time m
-      | Error (Howard.Deadlock _), Ok (Sim.Deadlock _) -> true
+      | Ok res, Ok (Sim.Period m) -> Ratio.equal res.Csr.cycle_time m
+      | Error (Csr.Deadlock _), Ok (Sim.Deadlock _) -> true
       | _ -> false)
 
 (* ---- multi-rate and handshake channels -------------------------------------- *)
@@ -576,7 +576,7 @@ let test_multirate_ct () =
      + enq 1 = 4 cycles: CT 8. The simulator's period is per monitor (snk)
      iteration, and snk completes q(snk) = 2 iterations per TMG period. *)
   (match analyze sys with
-   | Ok res -> Helpers.check_ratio "CT = 8" (r 8 1) res.Howard.cycle_time
+   | Ok res -> Helpers.check_ratio "CT = 8" (r 8 1) res.Csr.cycle_time
    | Error _ -> Alcotest.fail "deadlock");
   match Sim.steady_cycle_time ~rounds:96 sys with
   | Ok (Sim.Period m) -> Helpers.check_ratio "sim period = CT / q(snk) = 4" (r 4 1) m
@@ -588,7 +588,7 @@ let test_multirate_underdepth_deadlocks_consistently () =
   let sys = mr_pipeline () in
   System.set_channel_kind sys 0 (System.Multi_rate { produce = 2; consume = 3; depth = 3 });
   (match analyze sys with
-   | Error (Howard.Deadlock _) -> ()
+   | Error (Csr.Deadlock _) -> ()
    | _ -> Alcotest.fail "TMG analysis must deadlock");
   match Sim.steady_cycle_time ~rounds:16 sys with
   | Ok (Sim.Deadlock _) -> ()
@@ -604,7 +604,7 @@ let test_handshake_ct () =
       (match analyze sys with
        | Ok res ->
          Helpers.check_ratio (Printf.sprintf "hold %d: CT" hold) (r expect 1)
-           res.Howard.cycle_time
+           res.Csr.cycle_time
        | Error _ -> Alcotest.fail "deadlock");
       match Sim.steady_cycle_time ~rounds:64 sys with
       | Ok (Sim.Period m) ->
@@ -615,7 +615,8 @@ let test_handshake_ct () =
 let certificate_checks sys =
   let m = To_tmg.build sys in
   let tmg = m.To_tmg.tmg in
-  Verify.check tmg (Verify.of_howard tmg (Howard.cycle_time tmg))
+  let fresh = Csr.of_tmg tmg in
+  Verify.check_csr fresh (Verify.of_howard_csr fresh (Csr.cycle_time tmg))
 
 let test_unit_multirate_is_fifo () =
   (* Multi_rate {1, 1, d} must produce the bit-identical TMG a Fifo d does —
@@ -650,7 +651,7 @@ let test_handshake0_matches_rendezvous () =
   let rdv = mk System.Rendezvous in
   let hs = mk (System.Handshake { hold = 0 }) in
   (match (analyze rdv, analyze hs) with
-   | Ok a, Ok b -> Helpers.check_ratio "same CT" a.Howard.cycle_time b.Howard.cycle_time
+   | Ok a, Ok b -> Helpers.check_ratio "same CT" a.Csr.cycle_time b.Csr.cycle_time
    | _ -> Alcotest.fail "analysis failed");
   Alcotest.(check (result unit string)) "handshake certificate" (Ok ())
     (Result.map_error (fun v -> v.Verify.obligation) (certificate_checks hs));
@@ -762,7 +763,7 @@ let prop_multirate_chain_consistent =
       with
       | Ok res, Ok (Sim.Period m), Ok q ->
         let snk = List.nth ps (List.length ps - 1) in
-        Ratio.equal (Ratio.mul m (Ratio.of_int q.(snk))) res.Howard.cycle_time
+        Ratio.equal (Ratio.mul m (Ratio.of_int q.(snk))) res.Csr.cycle_time
       | _ -> false)
 
 (* ---- heap ---------------------------------------------------------------- *)
@@ -786,7 +787,7 @@ let test_soc_roundtrip_motivating () =
   | Ok sys' ->
     Alcotest.(check string) "same text" (Soc_format.print sys) (Soc_format.print sys');
     (match (analyze sys, analyze sys') with
-     | Ok a, Ok b -> Helpers.check_ratio "same cycle time" a.Howard.cycle_time b.Howard.cycle_time
+     | Ok a, Ok b -> Helpers.check_ratio "same cycle time" a.Csr.cycle_time b.Csr.cycle_time
      | _ -> Alcotest.fail "analysis failed")
 
 let test_soc_parse_errors () =

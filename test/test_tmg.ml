@@ -1,9 +1,7 @@
 module Tmg = Ermes_tmg.Tmg
 module Liveness = Ermes_tmg.Liveness
-module Howard = Ermes_tmg.Howard
-module Karp = Ermes_tmg.Karp
+module Csr = Ermes_tmg.Csr
 module Cycles = Ermes_tmg.Cycles
-module Lawler = Ermes_tmg.Lawler
 module Token_game = Ermes_tmg.Token_game
 module Firing = Ermes_tmg.Firing
 module Ratio = Ermes_tmg.Ratio
@@ -23,10 +21,10 @@ let ring delays tokens =
   tmg
 
 let cycle_time_exn tmg =
-  match Howard.cycle_time tmg with
+  match Csr.cycle_time tmg with
   | Ok res -> res
-  | Error (Howard.Deadlock _) -> Alcotest.fail "unexpected deadlock"
-  | Error Howard.No_cycle -> Alcotest.fail "unexpected acyclic net"
+  | Error (Csr.Deadlock _) -> Alcotest.fail "unexpected deadlock"
+  | Error Csr.No_cycle -> Alcotest.fail "unexpected acyclic net"
 
 (* ---- structure ---------------------------------------------------------- *)
 
@@ -102,25 +100,25 @@ let test_howard_single_selfloop () =
   let tmg = Tmg.create () in
   let t = Tmg.add_transition tmg ~delay:5 () in
   ignore (Tmg.add_place tmg ~src:t ~dst:t ~tokens:1 ());
-  Helpers.check_ratio "self loop" (r 5 1) (cycle_time_exn tmg).Howard.cycle_time
+  Helpers.check_ratio "self loop" (r 5 1) (cycle_time_exn tmg).Csr.cycle_time
 
 let test_howard_ring () =
   Helpers.check_ratio "2-ring 2 tokens" (r 5 2)
-    (cycle_time_exn (ring [ 2; 3 ] [ 1; 1 ])).Howard.cycle_time;
+    (cycle_time_exn (ring [ 2; 3 ] [ 1; 1 ])).Csr.cycle_time;
   Helpers.check_ratio "2-ring 1 token" (r 5 1)
-    (cycle_time_exn (ring [ 2; 3 ] [ 1; 0 ])).Howard.cycle_time;
+    (cycle_time_exn (ring [ 2; 3 ] [ 1; 0 ])).Csr.cycle_time;
   Helpers.check_ratio "3-ring" (r 6 2)
-    (cycle_time_exn (ring [ 1; 2; 3 ] [ 1; 1; 0 ])).Howard.cycle_time
+    (cycle_time_exn (ring [ 1; 2; 3 ] [ 1; 1; 0 ])).Csr.cycle_time
 
 let test_howard_nested () =
   (* Inner self-loop slower than the outer ring. *)
   let tmg = ring [ 1; 10 ] [ 1; 1 ] in
   ignore (Tmg.add_place tmg ~src:1 ~dst:1 ~tokens:1 ());
-  Helpers.check_ratio "max of cycles" (r 10 1) (cycle_time_exn tmg).Howard.cycle_time
+  Helpers.check_ratio "max of cycles" (r 10 1) (cycle_time_exn tmg).Csr.cycle_time
 
 let test_howard_deadlock () =
-  match Howard.cycle_time (ring [ 1; 1 ] [ 0; 0 ]) with
-  | Error (Howard.Deadlock _) -> ()
+  match Csr.cycle_time (ring [ 1; 1 ] [ 0; 0 ]) with
+  | Error (Csr.Deadlock _) -> ()
   | _ -> Alcotest.fail "expected deadlock"
 
 let test_howard_acyclic () =
@@ -128,8 +126,8 @@ let test_howard_acyclic () =
   let a = Tmg.add_transition tmg ~delay:1 () in
   let b = Tmg.add_transition tmg ~delay:1 () in
   ignore (Tmg.add_place tmg ~src:a ~dst:b ~tokens:0 ());
-  match Howard.cycle_time tmg with
-  | Error Howard.No_cycle -> ()
+  match Csr.cycle_time tmg with
+  | Error Csr.No_cycle -> ()
   | _ -> Alcotest.fail "expected No_cycle"
 
 let test_howard_disconnected_components () =
@@ -139,14 +137,14 @@ let test_howard_disconnected_components () =
   let b = Tmg.add_transition tmg ~delay:9 () in
   ignore (Tmg.add_place tmg ~src:a ~dst:a ~tokens:1 ());
   ignore (Tmg.add_place tmg ~src:b ~dst:b ~tokens:1 ());
-  Helpers.check_ratio "worst component" (r 9 1) (cycle_time_exn tmg).Howard.cycle_time
+  Helpers.check_ratio "worst component" (r 9 1) (cycle_time_exn tmg).Csr.cycle_time
 
 let test_howard_critical_cycle_consistent () =
   let tmg = ring [ 4; 5; 6 ] [ 1; 0; 1 ] in
   let res = cycle_time_exn tmg in
   (* The reported critical cycle must itself achieve the reported ratio. *)
-  match Tmg.cycle_ratio tmg res.Howard.critical_places with
-  | Some x -> Helpers.check_ratio "witness achieves ct" res.Howard.cycle_time x
+  match Tmg.cycle_ratio tmg res.Csr.critical_places with
+  | Some x -> Helpers.check_ratio "witness achieves ct" res.Csr.cycle_time x
   | None -> Alcotest.fail "token-free witness"
 
 let test_howard_parallel_places () =
@@ -158,28 +156,28 @@ let test_howard_parallel_places () =
   ignore (Tmg.add_place tmg ~src:a ~dst:b ~tokens:2 ());
   ignore (Tmg.add_place tmg ~src:a ~dst:b ~tokens:1 ());
   ignore (Tmg.add_place tmg ~src:b ~dst:a ~tokens:0 ());
-  Helpers.check_ratio "parallel places" (r 7 1) (cycle_time_exn tmg).Howard.cycle_time
+  Helpers.check_ratio "parallel places" (r 7 1) (cycle_time_exn tmg).Csr.cycle_time
 
 (* ---- properties: Howard vs oracles -------------------------------------- *)
 
 let prop_howard_vs_brute =
   Helpers.qtest ~count:300 "Howard equals exhaustive enumeration"
     Helpers.live_tmg_arbitrary (fun tmg ->
-      match (Howard.cycle_time tmg, Cycles.max_cycle_ratio_brute tmg) with
-      | Ok res, Some (best, _) -> Ratio.equal res.Howard.cycle_time best
-      | Error Howard.No_cycle, None -> true
+      match (Csr.cycle_time tmg, Cycles.max_cycle_ratio_brute tmg) with
+      | Ok res, Some (best, _) -> Ratio.equal res.Csr.cycle_time best
+      | Error Csr.No_cycle, None -> true
       | _ -> false)
 
 let prop_howard_witness =
   Helpers.qtest ~count:300 "Howard's critical cycle achieves its cycle time"
     Helpers.live_tmg_arbitrary (fun tmg ->
-      match Howard.cycle_time tmg with
+      match Csr.cycle_time tmg with
       | Ok res -> (
-        match Tmg.cycle_ratio tmg res.Howard.critical_places with
-        | Some x -> Ratio.equal x res.Howard.cycle_time
+        match Tmg.cycle_ratio tmg res.Csr.critical_places with
+        | Some x -> Ratio.equal x res.Csr.cycle_time
         | None -> false)
-      | Error Howard.No_cycle -> true
-      | Error (Howard.Deadlock _) -> false)
+      | Error Csr.No_cycle -> true
+      | Error (Csr.Deadlock _) -> false)
 
 let prop_howard_vs_karp_unit_tokens =
   (* On all-one-token rings plus chords, the max cycle ratio is a max cycle
@@ -204,48 +202,49 @@ let prop_howard_vs_karp_unit_tokens =
       List.iter
         (fun (s, d) -> ignore (Tmg.add_place tmg ~src:arr.(s) ~dst:arr.(d) ~tokens:1 ()))
         chords;
-      match (Howard.cycle_time tmg, Karp.of_unit_tmg tmg) with
-      | Ok res, Some mean -> Ratio.equal res.Howard.cycle_time mean
+      match (Csr.cycle_time tmg, Csr.karp_unit (Csr.of_tmg tmg)) with
+      | Ok res, Some mean -> Ratio.equal res.Csr.cycle_time mean
       | _ -> false)
 
 let prop_lawler_matches_howard =
   Helpers.qtest ~count:200 "Lawler's binary search equals Howard"
     Helpers.live_tmg_arbitrary (fun tmg ->
-      match (Howard.cycle_time tmg, Lawler.cycle_time tmg) with
-      | Ok h, Ok (l, witness) ->
-        Ratio.equal h.Howard.cycle_time l
+      match (Csr.cycle_time tmg, Csr.lawler_certified (Csr.of_tmg tmg)) with
+      | Ok h, Ok (l, witness, _) ->
+        Ratio.equal h.Csr.cycle_time l
         && (match Tmg.cycle_ratio tmg witness with
             | Some r -> Ratio.equal r l
             | None -> false)
-      | Error Howard.No_cycle, Error Lawler.No_cycle -> true
+      | Error Csr.No_cycle, Error Csr.No_cycle -> true
       | _ -> false)
 
 let test_lawler_units () =
-  (match Lawler.cycle_time (ring [ 2; 3 ] [ 1; 1 ]) with
-   | Ok (r', _) -> Helpers.check_ratio "ring" (r 5 2) r'
+  let lawler tmg = Csr.lawler_certified (Csr.of_tmg tmg) in
+  (match lawler (ring [ 2; 3 ] [ 1; 1 ]) with
+   | Ok (r', _, _) -> Helpers.check_ratio "ring" (r 5 2) r'
    | Error _ -> Alcotest.fail "ring failed");
-  (match Lawler.cycle_time (ring [ 1; 1 ] [ 0; 0 ]) with
-   | Error Lawler.Deadlock -> ()
+  (match lawler (ring [ 1; 1 ] [ 0; 0 ]) with
+   | Error (Csr.Deadlock _) -> ()
    | _ -> Alcotest.fail "deadlock missed");
   let tmg = Tmg.create () in
   let a = Tmg.add_transition tmg ~delay:1 () in
   let b = Tmg.add_transition tmg ~delay:1 () in
   ignore (Tmg.add_place tmg ~src:a ~dst:b ~tokens:1 ());
-  match Lawler.cycle_time tmg with
-  | Error Lawler.No_cycle -> ()
+  match lawler tmg with
+  | Error Csr.No_cycle -> ()
   | _ -> Alcotest.fail "acyclic missed"
 
 let prop_firing_matches_howard =
   Helpers.qtest ~count:150 "max-plus firing rate equals the analytic cycle time"
     Helpers.live_tmg_arbitrary (fun tmg ->
-      match Howard.cycle_time tmg with
-      | Error Howard.No_cycle -> true
-      | Error (Howard.Deadlock _) -> false
+      match Csr.cycle_time tmg with
+      | Error Csr.No_cycle -> true
+      | Error (Csr.Deadlock _) -> false
       | Ok res ->
         if not (Tmg.is_strongly_connected tmg) then true
         else begin
           match Firing.measured_cycle_time tmg ~rounds:200 with
-          | Some measured -> Ratio.equal measured res.Howard.cycle_time
+          | Some measured -> Ratio.equal measured res.Csr.cycle_time
           | None -> false
         end)
 
@@ -271,24 +270,22 @@ let prop_token_invariance =
 (* ---- Karp --------------------------------------------------------------- *)
 
 let test_karp_simple () =
-  let g = Digraph.create () in
-  let a = Digraph.add_vertex g () and b = Digraph.add_vertex g () in
-  ignore (Digraph.add_arc g ~src:a ~dst:b 3);
-  ignore (Digraph.add_arc g ~src:b ~dst:a 5);
-  ignore (Digraph.add_arc g ~src:a ~dst:a 6);
-  (match Karp.max_cycle_mean g with
+  (* A self-loop on t0 (mean 6) beside the t0 <-> t1 ring (mean (6+2)/2). *)
+  let tmg = ring [ 6; 2 ] [ 1; 1 ] in
+  ignore (Tmg.add_place tmg ~src:0 ~dst:0 ~tokens:1 ());
+  (match Csr.karp_unit (Csr.of_tmg tmg) with
    | Some m -> Helpers.check_ratio "max mean" (r 6 1) m
    | None -> Alcotest.fail "no cycle");
-  let dag = Digraph.create () in
-  let a = Digraph.add_vertex dag () and b = Digraph.add_vertex dag () in
-  ignore (Digraph.add_arc dag ~src:a ~dst:b 3);
-  Alcotest.(check bool) "acyclic" true (Karp.max_cycle_mean dag = None)
+  let dag = Tmg.create () in
+  let a = Tmg.add_transition dag ~delay:3 () and b = Tmg.add_transition dag ~delay:5 () in
+  ignore (Tmg.add_place dag ~src:a ~dst:b ~tokens:1 ());
+  Alcotest.(check bool) "acyclic" true (Csr.karp_unit (Csr.of_tmg dag) = None)
 
 let test_karp_requires_unit_tokens () =
   let tmg = ring [ 1; 1 ] [ 1; 2 ] in
   Alcotest.check_raises "non-unit tokens"
-    (Invalid_argument "Karp.of_unit_tmg: every place must hold exactly one token")
-    (fun () -> ignore (Karp.of_unit_tmg tmg))
+    (Invalid_argument "Csr.karp_unit: every place must hold exactly one token")
+    (fun () -> ignore (Csr.karp_unit (Csr.of_tmg tmg)))
 
 (* ---- cycle enumeration --------------------------------------------------- *)
 

@@ -10,9 +10,7 @@
 
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
-module Howard = Ermes_tmg.Howard
-module Lawler = Ermes_tmg.Lawler
-module Karp = Ermes_tmg.Karp
+module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module System = Ermes_slm.System
 module To_tmg = Ermes_slm.To_tmg
@@ -22,14 +20,28 @@ module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
 module Lint = Ermes_verify.Lint
 
+(* Every check reads a fresh freeze of the net as it stands now. *)
 let accepted tmg cert =
-  match Verify.check tmg cert with
+  match Verify.check_csr (Csr.of_tmg tmg) cert with
   | Ok () -> true
   | Error v ->
     Format.eprintf "unexpected rejection: %a@." Verify.pp_violation v;
     false
 
-let rejected tmg cert = Result.is_error (Verify.check tmg cert)
+let rejected tmg cert = Result.is_error (Verify.check_csr (Csr.of_tmg tmg) cert)
+
+(* Each solver's certificate, assembled on its own freeze. *)
+let howard tmg = Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg)
+
+let lawler tmg =
+  let g = Csr.of_tmg tmg in
+  Verify.of_certified g (Csr.lawler_certified g)
+
+(* Karp solves the unit-token problem: put the net on a unit marking. *)
+let karp_unit tmg =
+  List.iter (fun p -> Tmg.set_tokens tmg p 1) (Tmg.places tmg);
+  let g = Csr.of_tmg tmg in
+  Verify.of_certified g (Csr.karp_unit_certified g)
 
 (* Like Helpers.build_tmg but without the make-it-live fixup, so deadlocked
    markings stay deadlocked and the Deadlocked/Live paths both get
@@ -52,16 +64,9 @@ let raw_tmg_gen = QCheck2.Gen.map build_raw_tmg Helpers.random_tmg_gen
 
 (* ---- soundness: solver outputs check out -------------------------------- *)
 
-let prop_howard_certified tmg =
-  accepted tmg (Verify.of_howard tmg (Howard.cycle_time tmg))
-
-let prop_lawler_certified tmg =
-  accepted tmg (Verify.of_lawler tmg (Lawler.certified tmg))
-
-let prop_karp_certified tmg =
-  (* Karp solves the unit-token problem; put it on a unit marking. *)
-  List.iter (fun p -> Tmg.set_tokens tmg p 1) (Tmg.places tmg);
-  accepted tmg (Verify.of_karp_unit tmg (Karp.of_unit_tmg_certified tmg))
+let prop_howard_certified tmg = accepted tmg (howard tmg)
+let prop_lawler_certified tmg = accepted tmg (lawler tmg)
+let prop_karp_certified tmg = accepted tmg (karp_unit tmg)
 
 let prop_liveness_certified tmg = accepted tmg (Verify.of_liveness tmg)
 
@@ -69,7 +74,7 @@ let prop_liveness_certified tmg = accepted tmg (Verify.of_liveness tmg)
    check out: a Bounded certificate on a deadlocked net would be caught by
    the ranks, but make sure the constructors picked the right variant. *)
 let prop_certificate_variant tmg =
-  let cert = Verify.of_howard tmg (Howard.cycle_time tmg) in
+  let cert = howard tmg in
   match (cert, Liveness.find_dead_cycle tmg) with
   | Verify.Deadlocked _, Some _ -> accepted tmg cert
   | (Verify.Bounded _ | Verify.Acyclic _), None -> accepted tmg cert
@@ -121,9 +126,12 @@ let mutations_gen =
 (* Every arc of the witness cycle is tight at the optimum (the feasibility
    slacks around it sum to zero), so bumping the potential of any witness
    arc's source breaks that arc's inequality — unless the arc is a
-   self-loop, whose inequality cancels the potential. *)
-let prop_perturbed_potential_rejected tmg =
-  match Verify.of_howard tmg (Howard.cycle_time tmg) with
+   self-loop, whose inequality cancels the potential. Holds for every
+   solver's certificate, so the source is part of the input. *)
+let certificate_source_gen = QCheck2.Gen.oneofl [ howard; lawler; karp_unit ]
+
+let prop_perturbed_potential_rejected (certify, tmg) =
+  match certify tmg with
   | Verify.Bounded b as cert -> (
     if not (accepted tmg cert) then false
     else
@@ -142,7 +150,7 @@ let prop_perturbed_potential_rejected tmg =
    break the closed walk (or, for a one-place witness, the closure), so the
    checker has to notice. *)
 let prop_perturbed_edge_rejected tmg =
-  match Verify.of_howard tmg (Howard.cycle_time tmg) with
+  match howard tmg with
   | Verify.Bounded b as cert -> (
     if not (accepted tmg cert) then false
     else
@@ -173,7 +181,7 @@ let prop_fake_live_rejected tmg =
 let test_checker_obligations () =
   let sys = Motivating.optimal () in
   let tmg = (To_tmg.build sys).To_tmg.tmg in
-  match Verify.of_howard tmg (Howard.cycle_time tmg) with
+  match howard tmg with
   | Verify.Bounded b ->
     Alcotest.(check bool) "pristine accepted" true (accepted tmg (Verify.Bounded b));
     (* wrong ratio *)
@@ -212,9 +220,8 @@ let test_deadlock_certificate () =
     Alcotest.(check bool) "empty dead cycle rejected" true
       (rejected tmg (Verify.Deadlocked { cycle = [] }))
   | _ -> Alcotest.fail "deadlocked system should yield Deadlocked");
-  (* Lawler completes its bare Deadlock verdict with a witness. *)
-  Alcotest.(check bool) "lawler deadlock certified" true
-    (accepted tmg (Verify.of_lawler tmg (Lawler.certified tmg)))
+  (* Lawler's Deadlock verdict carries its witness. *)
+  Alcotest.(check bool) "lawler deadlock certified" true (accepted tmg (lawler tmg))
 
 (* ---- lint ---------------------------------------------------------------- *)
 
@@ -321,7 +328,8 @@ let () =
       ( "skepticism",
         [
           Helpers.qtest ~count:300 "perturbed potential rejected"
-            Helpers.live_tmg_arbitrary prop_perturbed_potential_rejected;
+            QCheck2.Gen.(pair certificate_source_gen Helpers.live_tmg_arbitrary)
+            prop_perturbed_potential_rejected;
           Helpers.qtest ~count:300 "perturbed witness edge rejected"
             Helpers.live_tmg_arbitrary prop_perturbed_edge_rejected;
           Helpers.qtest ~count:300 "fake live-ranks rejected" raw_tmg_gen
