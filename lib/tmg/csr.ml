@@ -174,6 +174,26 @@ let strongly_connected (g : t) =
   done;
   { comp = (if n = 0 then [||] else comp); comp_count = !comp_count }
 
+(* Bucket transitions by component via counting sort: component [c] is
+   [members.(row.(c)) .. members.(row.(c+1) - 1)], ascending vertex id within
+   each component, components in ascending id order — the same shape
+   Scc.components yields. *)
+let component_members (g : t) { comp; comp_count } =
+  let row = Array.make (comp_count + 1) 0 in
+  for v = 0 to g.n - 1 do
+    row.(comp.(v) + 1) <- row.(comp.(v) + 1) + 1
+  done;
+  for c = 1 to comp_count do
+    row.(c) <- row.(c) + row.(c - 1)
+  done;
+  let members = Array.make (max g.n 1) 0 in
+  let cur = Array.copy row in
+  for v = 0 to g.n - 1 do
+    members.(cur.(comp.(v))) <- v;
+    cur.(comp.(v)) <- cur.(comp.(v)) + 1
+  done;
+  (row, members)
+
 (* ------------------------------------------------------------------ *)
 (* Kahn topological sort over a place-selected sub-net                  *)
 (* ------------------------------------------------------------------ *)
@@ -440,30 +460,12 @@ let make_solver tmg =
 
 let compute_scc_state s =
   let g = s.g in
-  let { comp; comp_count } = strongly_connected g in
+  let ({ comp; comp_count } as comps) = strongly_connected g in
   let in_scc = Array.make (max g.m 1) false in
   for p = 0 to g.m - 1 do
     in_scc.(p) <- comp.(g.src.(p)) = comp.(g.dst.(p))
   done;
-  (* Bucket members by component via counting sort: ascending vertex id
-     within each component, components in ascending id order — the same
-     shape Scc.components yields. *)
-  let comp_row = Array.make (comp_count + 1) 0 in
-  for v = 0 to g.n - 1 do
-    comp_row.(comp.(v) + 1) <- comp_row.(comp.(v) + 1) + 1
-  done;
-  for c = 1 to comp_count do
-    comp_row.(c) <- comp_row.(c) + comp_row.(c - 1)
-  done;
-  let comp_members = Array.make (max g.n 1) 0 in
-  let cur = Array.make (max comp_count 1) 0 in
-  for c = 0 to comp_count - 1 do
-    cur.(c) <- comp_row.(c)
-  done;
-  for v = 0 to g.n - 1 do
-    comp_members.(cur.(comp.(v))) <- v;
-    cur.(comp.(v)) <- cur.(comp.(v)) + 1
-  done;
+  let comp_row, comp_members = component_members g comps in
   let comp_cyclic = Array.make (max comp_count 1) false in
   for p = 0 to g.m - 1 do
     if in_scc.(p) then comp_cyclic.(comp.(g.src.(p))) <- true
@@ -877,11 +879,12 @@ let find_positive_cycle s mask d ratio =
   done;
   !found
 
-let exact_ratio (g : t) arcs =
+(* The exact ratio of a cycle given as places; [None] if it carries no
+   token, which no cycle of a live net does. *)
+let cycle_ratio (g : t) arcs =
   let wsum = List.fold_left (fun acc a -> acc + g.weight.(a)) 0 arcs in
   let tsum = List.fold_left (fun acc a -> acc + g.tokens.(a)) 0 arcs in
-  assert (tsum > 0);
-  Ratio.make wsum tsum
+  if tsum = 0 then None else Some (Ratio.make wsum tsum)
 
 let certify s mask ratio0 arcs0 =
   let ratio = ref ratio0 and arcs = ref arcs0 and rounds = ref 0 in
@@ -890,7 +893,7 @@ let certify s mask ratio0 arcs0 =
     match find_positive_cycle s mask s.potentials !ratio with
     | None -> continue_ := false
     | Some a ->
-      ratio := exact_ratio s.g a;
+      ratio := Option.get (cycle_ratio s.g a);
       arcs := a;
       incr rounds
   done;
@@ -967,7 +970,7 @@ let solve s =
               assert (!best_a >= 0);
               !best_a)
         in
-        let seed_ratio = exact_ratio g seed_arcs in
+        let seed_ratio = Option.get (cycle_ratio g seed_arcs) in
         assert (Ratio.(seed_ratio >= ratio));
         let final_ratio, final_arcs, cancels =
           certify s s.in_scc seed_ratio seed_arcs
@@ -1046,23 +1049,8 @@ let karp_unit (g : t) =
     if g.tokens.(p) <> 1 then
       invalid_arg "Csr.karp_unit: every place must hold exactly one token"
   done;
-  let { comp; comp_count } = strongly_connected g in
-  let comp_row = Array.make (comp_count + 1) 0 in
-  for v = 0 to g.n - 1 do
-    comp_row.(comp.(v) + 1) <- comp_row.(comp.(v) + 1) + 1
-  done;
-  for c = 1 to comp_count do
-    comp_row.(c) <- comp_row.(c) + comp_row.(c - 1)
-  done;
-  let members = Array.make (max g.n 1) 0 in
-  let cur = Array.make (max comp_count 1) 0 in
-  for c = 0 to comp_count - 1 do
-    cur.(c) <- comp_row.(c)
-  done;
-  for v = 0 to g.n - 1 do
-    members.(cur.(comp.(v))) <- v;
-    cur.(comp.(v)) <- cur.(comp.(v)) + 1
-  done;
+  let ({ comp; comp_count } as comps) = strongly_connected g in
+  let comp_row, members = component_members g comps in
   let idx = Array.make (max g.n 1) 0 in
   let best = ref None in
   for c = 0 to comp_count - 1 do
@@ -1202,11 +1190,6 @@ let positive_cycle_float (g : t) lambda =
     end
   end
 
-let exact_ratio_opt (g : t) arcs =
-  let wsum = List.fold_left (fun acc a -> acc + g.weight.(a)) 0 arcs in
-  let tsum = List.fold_left (fun acc a -> acc + g.tokens.(a)) 0 arcs in
-  if tsum = 0 then None else Some (Ratio.make wsum tsum)
-
 let lawler_certified (g : t) =
   match live_ranks g with
   | Error d -> Error (Deadlock d)
@@ -1214,7 +1197,7 @@ let lawler_certified (g : t) =
     match positive_cycle_float g (-1.) with
     | None -> Error No_cycle
     | Some seed ->
-      let best = ref (Option.get (exact_ratio_opt g seed), seed) in
+      let best = ref (Option.get (cycle_ratio g seed), seed) in
       let hi =
         ref
           (1.
@@ -1229,7 +1212,7 @@ let lawler_certified (g : t) =
         let mid = 0.5 *. (!lo +. !hi) in
         match positive_cycle_float g mid with
         | Some arcs -> (
-          match exact_ratio_opt g arcs with
+          match cycle_ratio g arcs with
           | Some r ->
             if Ratio.(r > fst !best) then best := (r, arcs);
             lo := Float.max mid (Ratio.to_float r)
@@ -1241,7 +1224,7 @@ let lawler_certified (g : t) =
         match positive_cycle_float g (Ratio.to_float r +. 1e-12) with
         | None -> ()
         | Some arcs -> (
-          match exact_ratio_opt g arcs with
+          match cycle_ratio g arcs with
           | Some r' when Ratio.(r' > r) ->
             best := (r', arcs);
             certify_exact ()
