@@ -23,7 +23,7 @@ let rs = Ratio.to_string
 
 (* The certificate checker is its own oracle: every verdict must come with
    a proof object the independent O(E) checker accepts. [fresh] is a freeze
-   no solver has read. *)
+   of its own, never a solver's input or internal state. *)
 let check_certificate add fresh name cert =
   match Verify.check_csr fresh cert with
   | Ok () -> ()

@@ -478,10 +478,10 @@ let compute_scc_state s =
   s.scc_dirty <- false
 
 (* Re-sync the frozen arrays with the live net: delay edits are absorbed by
-   the unconditional weight re-read, endpoint
-   rewires rebuild the adjacency (from place-id order, so results never
-   depend on rewiring history) and dirty the SCC state, token edits
-   invalidate the cached liveness verdict, and count changes re-freeze. *)
+   the unconditional weight re-read, endpoint rewires rebuild the adjacency
+   (from place-id order, so results never depend on rewiring history) and
+   dirty the SCC state, token edits invalidate the cached liveness verdict,
+   and count changes re-freeze. *)
 let refresh s =
   let n = Tmg.transition_count s.stmg and m = Tmg.place_count s.stmg in
   if n <> s.n || m <> s.m then begin
@@ -601,10 +601,9 @@ let evaluate s lo hi =
   (* Potentials: fix each cycle's first vertex at 0, walk the cycle
      backwards, then propagate x(u) = w - lambda*t + x(succ u) over the
      reverse policy adjacency. Cycles are processed in reverse discovery
-     order. The cycle ratio is
-     a direct float division: both operands are exact in 64-bit floats, so
-     the correctly-rounded quotient equals [Ratio.to_float (Ratio.make w t)]
-     bit for bit. *)
+     order. The cycle ratio is a direct float division: both operands are
+     exact in 64-bit floats, so the correctly-rounded quotient equals
+     [Ratio.to_float (Ratio.make w t)] bit for bit. *)
   let ring = sc.ring in
   let cap = Array.length ring in
   let qh = ref 0 and qt = ref 0 in
