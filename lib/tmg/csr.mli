@@ -101,7 +101,8 @@ val live_ranks : t -> (int array, Liveness.dead_cycle) result
 (** Liveness by topological ranks of the token-free subgraph, mirroring
     {!Liveness.live_ranks} bit for bit: [Ok ranks] satisfies
     [ranks.(src p) < ranks.(dst p)] for every token-free place [p];
-    [Error] carries the same witness cycle the pointer path reports. *)
+    [Error] carries the same witness cycle {!Liveness.live_ranks}
+    reports. *)
 
 val topo_ranks : t -> (int array, Liveness.dead_cycle) result
 (** Topological ranks over {e all} places (the whole net): the [Acyclic]
