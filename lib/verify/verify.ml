@@ -168,20 +168,15 @@ let ranks_or_refuted (g : Csr.t) = function
   | Ok ranks -> ranks
   | Error _ -> Array.make g.Csr.n 0
 
-let bounded g ratio witness potentials =
-  Bounded { ratio; witness; potentials; ranks = ranks_or_refuted g (Csr.live_ranks g) }
-
-let of_error g = function
-  | Csr.Deadlock d -> Deadlocked { cycle = d.Liveness.dead_places }
-  | Csr.No_cycle -> Acyclic { ranks = ranks_or_refuted g (Csr.topo_ranks g) }
-
-let of_howard_csr g = function
-  | Ok (r : Csr.result) -> bounded g r.cycle_time r.critical_places r.potentials
-  | Error e -> of_error g e
-
 let of_certified g = function
-  | Ok (ratio, witness, potentials) -> bounded g ratio witness potentials
-  | Error e -> of_error g e
+  | Ok (ratio, witness, potentials) ->
+    Bounded { ratio; witness; potentials; ranks = ranks_or_refuted g (Csr.live_ranks g) }
+  | Error (Csr.Deadlock d) -> Deadlocked { cycle = d.Liveness.dead_places }
+  | Error Csr.No_cycle -> Acyclic { ranks = ranks_or_refuted g (Csr.topo_ranks g) }
+
+let of_howard_csr g r =
+  of_certified g
+    (Result.map (fun (r : Csr.result) -> (r.cycle_time, r.critical_places, r.potentials)) r)
 
 let of_liveness tmg =
   match Liveness.live_ranks tmg with
