@@ -433,7 +433,7 @@ let make_solver tmg =
     [
       "freeze"; "arena.words"; "solve.cold"; "solve.warm"; "cache.liveness_hit";
       "cache.liveness_invalidated"; "cache.scc_hit"; "scc.recomputed";
-      "iterations.policy"; "iterations.certify";
+      "iterations.policy"; "iterations.certify"; "certify.scans";
     ];
   let g = of_tmg tmg in
   {
@@ -843,9 +843,10 @@ let find_positive_cycle s mask d ratio =
       Some (collect !entry [])
     end
   in
-  let found = ref None in
+  let found = ref None and scans = ref 0 in
   while !found = None && !qh <> !qt do
     let u = qpop () in
+    incr scans;
     Array.unsafe_set in_queue u false;
     (* [d.(u)] and [plen.(u)] are re-read per arc: a self-loop place can
        relax them mid-scan, and later arcs of the same row must see it. *)
@@ -876,6 +877,7 @@ let find_positive_cycle s mask d ratio =
       end
     done
   done;
+  Obs.incr ~by:!scans "csr.certify.scans";
   !found
 
 (* The exact ratio of a cycle given as places; [None] if it carries no
@@ -885,17 +887,71 @@ let cycle_ratio (g : t) arcs =
   let tsum = List.fold_left (fun acc a -> acc + g.tokens.(a)) 0 arcs in
   if tsum = 0 then None else Some (Ratio.make wsum tsum)
 
-let certify s mask ratio0 arcs0 =
-  let ratio = ref ratio0 and arcs = ref arcs0 and rounds = ref 0 in
+(* Howard over every cyclic component: the best exact policy-cycle ratio
+   across components, with its cycle left in scratch.win_cyc (length
+   returned), and the rounds summed over components. *)
+let howard s =
+  let sc = s.scratch in
+  let best = ref None and iters = ref 0 and win_len = ref 0 in
+  for c = 0 to s.comp_count - 1 do
+    if s.comp_cyclic.(c) then begin
+      let r, len, rounds = howard_scc s s.comp_row.(c) s.comp_row.(c + 1) in
+      iters := !iters + rounds;
+      let take = match !best with None -> true | Some r0 -> Ratio.(r > r0) in
+      if take then begin
+        best := Some r;
+        win_len := len;
+        Array.blit sc.best_cyc 0 sc.win_cyc 0 len
+      end
+    end
+  done;
+  match !best with Some r -> (r, !win_len, !iters) | None -> assert false
+
+(* Make Howard's candidate exact: cancel positive-reduced-cost cycles over
+   the intra-SCC places until none is left, then extend the fixpoint over
+   every place. Returns the exact ratio, its witness and the number of
+   cancellations. *)
+let certify s ratio win_len =
+  let g = s.g and sc = s.scratch in
+  (* Seed with a concrete arc list: between consecutive cycle vertices pick
+     the parallel place of maximal reduced weight, scanning ascending and
+     keeping the first maximum. *)
+  let k = win_len in
+  let num = Ratio.num ratio and den = Ratio.den ratio in
+  let seed_arcs =
+    List.init k (fun i ->
+        let u = sc.win_cyc.(i) and v = sc.win_cyc.((i + 1) mod k) in
+        let best_a = ref (-1) and best_score = ref 0 in
+        for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
+          let a = g.out_adj.(j) in
+          if g.dst.(a) = v then begin
+            let score = (g.weight.(a) * den) - (g.tokens.(a) * num) in
+            if !best_a < 0 || score > !best_score then begin
+              best_a := a;
+              best_score := score
+            end
+          end
+        done;
+        assert (!best_a >= 0);
+        !best_a)
+  in
+  let seed_ratio = Option.get (cycle_ratio g seed_arcs) in
+  assert (Ratio.(seed_ratio >= ratio));
+  let ratio = ref seed_ratio and arcs = ref seed_arcs and rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    match find_positive_cycle s mask s.potentials !ratio with
+    match find_positive_cycle s s.in_scc s.potentials !ratio with
     | None -> continue_ := false
     | Some a ->
-      ratio := Option.get (cycle_ratio s.g a);
+      ratio := Option.get (cycle_ratio g a);
       arcs := a;
       incr rounds
   done;
+  (* Cross-SCC places carry no cycle, so this pass must reach a fixpoint —
+     the resulting potentials are the whole-net optimality witness. *)
+  (match find_positive_cycle s s.everywhere s.potentials !ratio with
+  | None -> ()
+  | Some _ -> assert false);
   (!ratio, !arcs, !rounds)
 
 let solve s =
@@ -927,73 +983,25 @@ let solve s =
     else Obs.incr "csr.cache.scc_hit";
     if not (Array.exists Fun.id s.comp_cyclic) then Error No_cycle
     else begin
-      let g = s.g and sc = s.scratch in
-      let best = ref None and iters = ref 0 and win_len = ref 0 in
-      for c = 0 to s.comp_count - 1 do
-        if s.comp_cyclic.(c) then begin
-          let r, len, rounds = howard_scc s s.comp_row.(c) s.comp_row.(c + 1) in
-          iters := !iters + rounds;
-          let take =
-            match !best with None -> true | Some r0 -> Ratio.(r > r0)
-          in
-          if take then begin
-            best := Some r;
-            win_len := len;
-            Array.blit sc.best_cyc 0 sc.win_cyc 0 len
-          end
-        end
-      done;
+      let ratio, win_len, iters = Obs.span "csr.howard" (fun () -> howard s) in
       s.warmed <- true;
-      match !best with
-      | None -> assert false
-      | Some ratio ->
-        (* Seed the exact certification with a concrete arc list: between
-           consecutive cycle vertices pick the parallel place of maximal
-           reduced weight, scanning ascending and keeping the first maximum. *)
-        let k = !win_len in
-        let num = Ratio.num ratio and den = Ratio.den ratio in
-        let seed_arcs =
-          List.init k (fun i ->
-              let u = sc.win_cyc.(i) and v = sc.win_cyc.((i + 1) mod k) in
-              let best_a = ref (-1) and best_score = ref 0 in
-              for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
-                let a = g.out_adj.(j) in
-                if g.dst.(a) = v then begin
-                  let score = (g.weight.(a) * den) - (g.tokens.(a) * num) in
-                  if !best_a < 0 || score > !best_score then begin
-                    best_a := a;
-                    best_score := score
-                  end
-                end
-              done;
-              assert (!best_a >= 0);
-              !best_a)
-        in
-        let seed_ratio = Option.get (cycle_ratio g seed_arcs) in
-        assert (Ratio.(seed_ratio >= ratio));
-        let final_ratio, final_arcs, cancels =
-          certify s s.in_scc seed_ratio seed_arcs
-        in
-        (* Extend the certification fixpoint over every place: cross-SCC
-           places carry no cycle, so this must reach a fixpoint — the
-           resulting potentials are the whole-net optimality witness. *)
-        (match find_positive_cycle s s.everywhere s.potentials final_ratio with
-        | None -> ()
-        | Some _ -> assert false);
-        Obs.incr ~by:!iters "csr.iterations.policy";
-        Obs.incr ~by:cancels "csr.iterations.certify";
-        Log.debug (fun m ->
-            m "solve: cycle time %a after %d policy + %d certify iterations"
-              Ratio.pp final_ratio !iters cancels);
-        Ok
-          {
-            cycle_time = final_ratio;
-            critical_places = final_arcs;
-            critical_transitions = List.map (fun a -> g.dst.(a)) final_arcs;
-            potentials = Array.copy s.potentials;
-            howard_iterations = !iters;
-            cancel_iterations = cancels;
-          }
+      let final_ratio, final_arcs, cancels =
+        Obs.span "csr.certify" (fun () -> certify s ratio win_len)
+      in
+      Obs.incr ~by:iters "csr.iterations.policy";
+      Obs.incr ~by:cancels "csr.iterations.certify";
+      Log.debug (fun m ->
+          m "solve: cycle time %a after %d policy + %d certify iterations"
+            Ratio.pp final_ratio iters cancels);
+      Ok
+        {
+          cycle_time = final_ratio;
+          critical_places = final_arcs;
+          critical_transitions = List.map (fun a -> s.g.dst.(a)) final_arcs;
+          potentials = Array.copy s.potentials;
+          howard_iterations = iters;
+          cancel_iterations = cancels;
+        }
     end
 
 let cycle_time tmg = solve (make_solver tmg)
