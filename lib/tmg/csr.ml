@@ -907,6 +907,28 @@ let howard s =
   done;
   match !best with Some r -> (r, !win_len, !iters) | None -> assert false
 
+(* Start the certification from Howard's own values: every vertex of a
+   cyclic component gets round(-q*x) at the candidate p/q, where x is the
+   value of the last evaluated policy; other vertices keep the last
+   fixpoint. At convergence no intra-SCC place violates -q*x beyond float
+   rounding, because Howard's improvement test is the SPFA's violation
+   test, and a component whose own ratio is below p/q stays feasible since
+   tokens are never negative — so a converged solve certifies in one scan.
+   The SPFA is exact from any start vector, so a poor seed costs scans,
+   never correctness; a value that is not finite or exceeds 2^52 in
+   magnitude is skipped. *)
+let seed_potentials s ratio =
+  let q = float_of_int (Ratio.den ratio) in
+  let x = s.scratch.x and pot = s.potentials in
+  for c = 0 to s.comp_count - 1 do
+    if s.comp_cyclic.(c) then
+      for i = s.comp_row.(c) to s.comp_row.(c + 1) - 1 do
+        let u = s.comp_members.(i) in
+        let v = -.(q *. x.(u)) in
+        if Float.abs v <= 0x1p52 then pot.(u) <- int_of_float (Float.round v)
+      done
+  done
+
 (* Make Howard's candidate exact: cancel positive-reduced-cost cycles over
    the intra-SCC places until none is left, then extend the fixpoint over
    every place. Returns the exact ratio, its witness and the number of
@@ -937,6 +959,7 @@ let certify s ratio win_len =
   in
   let seed_ratio = Option.get (cycle_ratio g seed_arcs) in
   assert (Ratio.(seed_ratio >= ratio));
+  seed_potentials s seed_ratio;
   let ratio = ref seed_ratio and arcs = ref seed_arcs and rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ do

@@ -25,6 +25,19 @@ let random_tmg_gen =
     let* chords = list_repeat extra (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 2)) in
     return (delays, ring_tokens, chords))
 
+(* Feed a token to any token-free cycle until none is left. Terminates
+   because each step strictly increases the total marking and a marking
+   with one token per place is live. *)
+let rec make_live tmg =
+  match Ermes_tmg.Liveness.find_dead_cycle tmg with
+  | None -> ()
+  | Some dc -> (
+    match dc.Ermes_tmg.Liveness.dead_places with
+    | p :: _ ->
+      Tmg.set_tokens tmg p 1;
+      make_live tmg
+    | [] -> assert false)
+
 let build_tmg (delays, ring_tokens, chords) =
   let tmg = Tmg.create () in
   let ts = List.map (fun d -> Tmg.add_transition tmg ~delay:d ()) delays in
@@ -37,20 +50,7 @@ let build_tmg (delays, ring_tokens, chords) =
   List.iter
     (fun (s, d, tokens) -> ignore (Tmg.add_place tmg ~src:arr.(s) ~dst:arr.(d) ~tokens ()))
     chords;
-  (* Make it live: feed a token to any token-free cycle until none is left.
-     Terminates because each step strictly increases the total marking and a
-     marking with one token per place is live. *)
-  let rec fix () =
-    match Ermes_tmg.Liveness.find_dead_cycle tmg with
-    | None -> ()
-    | Some dc ->
-      (match dc.Ermes_tmg.Liveness.dead_places with
-       | p :: _ ->
-         Tmg.set_tokens tmg p 1;
-         fix ()
-       | [] -> assert false)
-  in
-  fix ();
+  make_live tmg;
   tmg
 
 let live_tmg_arbitrary =

@@ -21,13 +21,12 @@ module Csr = Ermes_tmg.Csr
 module Generate = Ermes_synth.Generate
 module To_tmg = Ermes_slm.To_tmg
 module Verify = Ermes_verify.Verify
+module Obs = Ermes_obs.Obs
 
-(* Like Helpers.build_tmg but without the make-it-live fixup: deadlocked
-   markings stay deadlocked, so the Deadlock path is compared too. *)
-let build_raw_tmg (delays, ring_tokens, chords) =
-  let tmg = Tmg.create () in
-  let ts = List.map (fun d -> Tmg.add_transition tmg ~delay:d ()) delays in
-  let arr = Array.of_list ts in
+(* Add a ring through fresh transitions, plus chord places between them,
+   to [tmg]; returns the ring's transitions. *)
+let add_ring tmg (delays, ring_tokens, chords) =
+  let arr = Array.of_list (List.map (fun d -> Tmg.add_transition tmg ~delay:d ()) delays) in
   let n = Array.length arr in
   List.iteri
     (fun i tokens ->
@@ -36,6 +35,13 @@ let build_raw_tmg (delays, ring_tokens, chords) =
   List.iter
     (fun (s, d, tokens) -> ignore (Tmg.add_place tmg ~src:arr.(s) ~dst:arr.(d) ~tokens ()))
     chords;
+  arr
+
+(* Like Helpers.build_tmg but without the make-it-live fixup: deadlocked
+   markings stay deadlocked, so the Deadlock path is compared too. *)
+let build_raw_tmg spec =
+  let tmg = Tmg.create () in
+  ignore (add_ring tmg spec);
   tmg
 
 let raw_tmg_gen = QCheck2.Gen.map build_raw_tmg Helpers.random_tmg_gen
@@ -50,6 +56,42 @@ let unit_tmg_gen =
           List.map (fun _ -> 1) ring_tokens,
           List.map (fun (s, d, _) -> (s, d, 1)) chords ))
     Helpers.random_tmg_gen
+
+(* 1-4 live rings chained by token-free one-way bridges (ring i to ring
+   i+1), plus one delay edit. Each ring is its own SCC with its own ratio,
+   so Howard's values come from different ratios, and delays up to 10^6
+   with tokens up to 10^3 keep -q*x from rounding exactly. *)
+let rings_gen =
+  QCheck2.Gen.(
+    let ring =
+      let* k = int_range 1 4 in
+      let* delays = list_repeat k (int_range 0 1_000_000) in
+      let* tokens = list_repeat k (int_range 0 1_000) in
+      let* chords =
+        list_size (int_range 0 3)
+          (triple (int_range 0 (k - 1)) (int_range 0 (k - 1)) (int_range 0 1_000))
+      in
+      return (delays, tokens, chords)
+    in
+    let* rings = list_size (int_range 1 4) ring in
+    let* bridges = list_repeat (List.length rings - 1) (pair nat nat) in
+    let* edit = pair nat (int_range 0 1_000_000) in
+    return (rings, bridges, edit))
+
+let build_rings (rings, bridges, _) =
+  let tmg = Tmg.create () in
+  let ts = Array.of_list (List.map (add_ring tmg) rings) in
+  List.iteri
+    (fun i (a, b) ->
+      let from = ts.(i) and into = ts.(i + 1) in
+      ignore
+        (Tmg.add_place tmg
+           ~src:from.(a mod Array.length from)
+           ~dst:into.(b mod Array.length into)
+           ~tokens:0 ()))
+    bridges;
+  Helpers.make_live tmg;
+  tmg
 
 let fail fmt = Format.kasprintf (fun s -> Alcotest.failf "%s" s) fmt
 
@@ -83,6 +125,35 @@ let prop_howard_exact tmg =
         fail "howard %a, enumeration %a" Ratio.pp h.Csr.cycle_time Ratio.pp b
     | Error Csr.No_cycle, None -> ()
     | _ -> fail "howard and enumeration verdicts differ"));
+  true
+
+(* Cold and warm solves over several SCCs: the cold answer is the
+   enumerated one, a warm re-solve after a delay edit is the cold answer of
+   the edited net, and the checker accepts both certificates. *)
+let prop_rings_cold_warm ((_, _, (edit_t, edit_d)) as spec) =
+  let tmg = build_rings spec in
+  let ratio label = function
+    | Ok r -> r.Csr.cycle_time
+    | Error _ -> fail "%s: chained live rings have a cycle time" label
+  in
+  let accepted label solved =
+    let fresh = Csr.of_tmg tmg in
+    match Verify.check_csr fresh (Verify.of_howard_csr fresh solved) with
+    | Ok () -> ()
+    | Error v -> fail "%s certificate rejected: %a" label Verify.pp_violation v
+  in
+  let solver = Csr.make_solver tmg in
+  let cold = Csr.solve solver in
+  (match Cycles.max_cycle_ratio_brute tmg with
+  | Some (b, _) when Ratio.equal b (ratio "cold" cold) -> ()
+  | _ -> fail "cold %a disagrees with enumeration" Ratio.pp (ratio "cold" cold));
+  accepted "cold" cold;
+  Tmg.set_delay tmg (edit_t mod Tmg.transition_count tmg) edit_d;
+  let warm = Csr.solve solver in
+  let fresh = ratio "fresh" (Csr.cycle_time tmg) in
+  if not (Ratio.equal (ratio "warm" warm) fresh) then
+    fail "warm %a, cold %a after the edit" Ratio.pp (ratio "warm" warm) Ratio.pp fresh;
+  accepted "warm" warm;
   true
 
 (* ---- Karp / Lawler / ranks against the references ----------------------- *)
@@ -141,6 +212,36 @@ let prop_certificates_accepted tmg =
       ("liveness", Verify.of_liveness tmg);
     ];
   true
+
+(* Howard's converged values seed the certification, so a 20x20 mesh SoC
+   (1,224 transitions) certifies in at most one scan per transition, cold
+   and warm after a delay edit on its critical cycle. Started from all-zero
+   potentials, the cold certification dequeued 44,062 vertices. The scans
+   are counted, not timed. *)
+let test_mesh_certify_scans () =
+  let tmg = (To_tmg.build (Generate.mesh_system ~seed:1 ~rows:20 ~cols:20 ())).To_tmg.tmg in
+  let n = Tmg.transition_count tmg in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let solver = Csr.make_solver tmg in
+  let solve_counted label expected =
+    let before = Obs.counter "csr.certify.scans" in
+    let r =
+      match Csr.solve solver with
+      | Ok r -> r
+      | Error _ -> fail "%s: the mesh is live and cyclic" label
+    in
+    Helpers.check_ratio label expected r.Csr.cycle_time;
+    let scans = Obs.counter "csr.certify.scans" - before in
+    if scans > n then fail "%s: %d certification scans for %d transitions" label scans n;
+    r
+  in
+  let cold = solve_counted "cold" (Ratio.make 305 1) in
+  let t = List.hd cold.Csr.critical_transitions in
+  Tmg.set_delay tmg t (Tmg.delay tmg t + 7);
+  match Csr.cycle_time tmg with
+  | Ok fresh -> ignore (solve_counted "warm" fresh.Csr.cycle_time)
+  | Error _ -> fail "the edited mesh is live and cyclic"
 
 (* ---- freeze / thaw round-trip ------------------------------------------- *)
 
@@ -228,6 +329,8 @@ let () =
           Helpers.qtest ~count:300 "exact vs Lawler, brute (raw nets)"
             raw_tmg_gen prop_howard_exact;
           Alcotest.test_case "exact vs Lawler (synth-200)" `Quick test_synth_exact;
+          Helpers.qtest ~count:1000 "cold = brute, warm = cold, both certified (chained rings)"
+            rings_gen prop_rings_cold_warm;
         ] );
       ( "cross-check",
         [
@@ -244,6 +347,8 @@ let () =
             Helpers.live_tmg_arbitrary prop_certificates_accepted;
           Helpers.qtest ~count:200 "accepted by check_csr (raw nets)" raw_tmg_gen
             prop_certificates_accepted;
+          Alcotest.test_case "mesh certifies in at most one scan per transition" `Quick
+            test_mesh_certify_scans;
         ] );
       ( "round-trip",
         [
