@@ -150,8 +150,15 @@ type solver
     - token edits invalidate only the cached liveness verdict;
     - a change in transition/place count re-freezes.
 
-    The last converged policy and certification potentials warm-start the
-    next solve. All per-solve scratch is preallocated: the policy-iteration,
+    The last converged policy warm-starts the next solve. On every solve,
+    cold or warm, the exact certification starts from Howard's own values:
+    each vertex [u] of a cyclic component gets [round (-q * x u)] at the
+    candidate ratio p/q, where [x] is the value of the converged policy;
+    other vertices keep the last certification fixpoint. At convergence
+    these potentials are already feasible up to rounding, so the positive
+    cycle search usually dequeues nothing (counter [csr.certify.scans]).
+    It is exact from any start, so the seed affects cost, never the
+    answer. All per-solve scratch is preallocated: the policy-iteration,
     potential propagation and positive-cycle-cancellation inner loops
     allocate nothing but the final result. *)
 
