@@ -11,7 +11,10 @@
    groups: freeze/thaw must round-trip through every accessor, and the
    pointer {!Liveness} must reproduce [Csr.live_ranks] bit for bit. The
    iterative SCC must take a 10^5-vertex path graph in stride where the old
-   recursive walk blew the OCaml stack. *)
+   recursive walk blew the OCaml stack. The exact certification starts from
+   Howard's own values, so chained rings of different ratios hold cold and
+   warm answers and certificates to enumeration and the checker, and a mesh
+   SoC holds the certification to one scan per transition. *)
 
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
