@@ -27,12 +27,11 @@ module Lint = Ermes_verify.Lint
 module Supervise = Ermes_runtime.Supervise
 module Batch = Ermes_runtime.Batch
 module Checkpoint = Ermes_runtime.Checkpoint
-module Journal = Ermes_runtime.Journal
 module Chaos = Ermes_chaos.Chaos
-module Shrink = Ermes_fault.Shrink
-module Generate = Ermes_synth.Generate
 module Sproto = Ermes_serve.Proto
 module Server = Ermes_serve.Server
+module Client = Ermes_serve.Client
+module Campaign = Ermes_chaos_campaign.Campaign
 
 open Cmdliner
 
@@ -212,11 +211,7 @@ let analyze_cmd =
             multi-rate system the monitor fires q(monitor) times per common
             period, so the TMG cycle time is the product (the same contract
             the differential oracle checks). *)
-         let qmon =
-           match System.sinks sys, System.repetition_vector sys with
-           | m :: _, Ok q -> q.(m)
-           | _ -> 1
-         in
+         let qmon = Differential.monitor_repetition sys in
          match Sim.steady_cycle_time sys with
          | Ok (Sim.Period r) ->
            let scaled = Ratio.mul r (Ratio.of_int qmon) in
@@ -608,11 +603,7 @@ let rtl_cmd =
     if cosim then begin
       (* The RTL period is per monitor (first-sink) iteration; the analysis
          cycle time is per unfolded firing — they agree up to q(monitor). *)
-      let qmon =
-        match System.repetition_vector sys with
-        | Error _ -> 1
-        | Ok q -> ( match System.sinks sys with s :: _ -> q.(s) | [] -> 1)
-      in
+      let qmon = Differential.monitor_repetition sys in
       match (Ermes_rtl.Soc_rtl.cosim ~rounds sys, Perf.analyze sys) with
       | exception Invalid_argument msg ->
         prerr_endline ("ermes: " ^ msg);
@@ -1167,42 +1158,22 @@ let call_cmd =
             | Error e -> die 1 (f ^ ": " ^ e)));
         ]
     in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-      die 3 (Printf.sprintf "%s: %s (is the daemon running?)" socket
-               (Unix.error_message e)));
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-    let dec = Sproto.decoder () in
-    let buf = Bytes.create 65536 in
+    let conn =
+      match Client.connect ~timeout_s socket with
+      | Ok c -> c
+      | Error e -> die 3 (Printf.sprintf "%s: %s (is the daemon running?)" socket e)
+    in
     let send_payload payload =
-      let s = Sproto.frame payload in
-      let rec w off =
-        if off < String.length s then
-          w (off + Unix.write_substring fd s off (String.length s - off))
-      in
-      try w 0
-      with Unix.Unix_error (e, _, _) -> die 3 ("send: " ^ Unix.error_message e)
+      match Client.send conn payload with Ok () -> () | Error e -> die 3 ("send: " ^ e)
     in
     let read_reply () =
-      let rec go () =
-        match Sproto.next dec with
-        | Ok (Some payload) -> payload
-        | Error e -> die 1 ("bad frame from server: " ^ e)
-        | Ok None -> (
-          match Unix.read fd buf 0 (Bytes.length buf) with
-          | 0 -> die 3 "connection closed by server"
-          | n ->
-            Sproto.feed dec buf n;
-            go ()
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-            die 3 (Printf.sprintf "timed out after %.1f s waiting for a reply"
-                     timeout_s)
-          | exception Unix.Unix_error (e, _, _) ->
-            die 3 ("recv: " ^ Unix.error_message e))
-      in
-      go ()
+      match Client.recv conn with
+      | Ok payload -> payload
+      | Error (Client.Bad_frame e) -> die 1 ("bad frame from server: " ^ e)
+      | Error Client.Closed -> die 3 "connection closed by server"
+      | Error Client.Timed_out ->
+        die 3 (Printf.sprintf "timed out after %.1f s waiting for a reply" timeout_s)
+      | Error (Client.Io e) -> die 3 ("recv: " ^ e)
     in
     let code_of payload =
       match Sproto.of_string payload with
@@ -1236,7 +1207,7 @@ let call_cmd =
       | None -> print_endline payload);
       worst := max !worst (code_of payload)
     done;
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Client.close conn;
     exit !worst
   in
   Cmd.v
@@ -1252,437 +1223,6 @@ let call_cmd =
          $ timeout_s))
 
 (* ---- chaos ------------------------------------------------------------- *)
-
-(* The chaos campaign (DESIGN.md §16): draw a seeded fault plan per wave,
-   run a target workload under the injected I/O, and check the standing
-   invariants — resumed campaigns byte-identical to uninterrupted ones, the
-   daemon alive through storms and skew, journal recovery never losing a
-   CRC-valid prefix, persistent ENOSPC degrading to checkpoint-disabled
-   instead of crashing. A violated wave is shrunk to a minimal failing plan
-   with the fuzzer's minimizer and written to a repro file. *)
-
-let chaos_read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let chaos_tmpdir () =
-  let rec go i =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ermes-chaos-%d-%d" (Unix.getpid ()) i)
-    in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0
-
-let rec chaos_rm_rf p =
-  match (Unix.lstat p).Unix.st_kind with
-  | Unix.S_DIR ->
-    Array.iter (fun e -> chaos_rm_rf (Filename.concat p e)) (Sys.readdir p);
-    (try Unix.rmdir p with Unix.Unix_error _ -> ())
-  | _ -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-(* Invariant: whatever faults fire, [Journal.load] of the on-disk file
-   yields a CRC-valid prefix of the records appended so far — never an
-   exception, never records out of order or from the future. *)
-let chaos_check_journal ~dir plan =
-  let path = Filename.concat dir "journal.j" in
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".tmp" ];
-  let inj = Chaos.injector plan in
-  let payloads =
-    List.init 8 (fun i -> Printf.sprintf "record %d %s" i (String.make (7 * i) 'x'))
-  in
-  let attempted = ref [] in
-  let prefix_ok entries =
-    let rec go = function
-      | [], _ -> true
-      | _ :: _, [] -> false
-      | e :: es, a :: rest -> String.equal e a && go (es, rest)
-    in
-    go (entries, List.rev !attempted)
-  in
-  let check_disk () =
-    if not (Sys.file_exists path) then Ok ()
-    else
-      match Journal.load path with
-      | exception e -> Error ("journal load raised " ^ Printexc.to_string e)
-      | Error _ -> Ok () (* recovery reported the damage; it never lied *)
-      | Ok l ->
-        if prefix_ok l.Journal.entries then Ok ()
-        else Error "recovered journal is not a prefix of the appended records"
-  in
-  match Journal.start ~io:(Chaos.io inj) ~kind:"chaos" path with
-  | exception (Unix.Unix_error _ | Sys_error _) -> check_disk ()
-  | j ->
-    let rec go = function
-      | [] -> check_disk ()
-      | p :: rest -> (
-        attempted := p :: !attempted;
-        match Journal.append j p with
-        | () -> ( match check_disk () with Ok () -> go rest | e -> e)
-        | exception (Unix.Unix_error _ | Sys_error _) ->
-          (* the fault surfaced to the caller; the disk must still hold a
-             valid prefix — exactly what a degrading campaign relies on *)
-          check_disk ())
-    in
-    go payloads
-
-let chaos_fuzz_digest (s : Fuzz.summary) =
-  Printf.sprintf "%d cases, %d live, %d dead, %d faults, %d failures"
-    s.Fuzz.cases_run s.Fuzz.live s.Fuzz.dead s.Fuzz.faults_injected
-    (List.length s.Fuzz.failures)
-
-(* Invariant: a checkpointed fuzz campaign under I/O chaos returns the same
-   summary as the uninterrupted run (degrading checkpointing if it must),
-   and resuming with healthy I/O from whatever the chaos run left on disk
-   reproduces both the summary and the journal, byte for byte. *)
-let chaos_check_fuzz ~dir ~seed plan =
-  let cfg =
-    {
-      Fuzz.seed = 1 + (seed land 0xffff);
-      cases = 3;
-      max_processes = 5;
-      rounds = 48;
-      rtl = false;
-      repro_dir = None;
-    }
-  in
-  let ref_path = Filename.concat dir "fuzz-ref.journal" in
-  let path = Filename.concat dir "fuzz.journal" in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ ref_path; path ];
-  match Checkpoint.fuzz_run ~path:ref_path ~resume:false cfg with
-  | Error e -> Error ("reference run refused: " ^ e)
-  | Ok reference -> (
-    let ref_bytes = chaos_read_file ref_path in
-    let inj = Chaos.injector plan in
-    match Checkpoint.fuzz_run ~io:(Chaos.io inj) ~path ~resume:false cfg with
-    | exception e ->
-      Error ("campaign crashed under chaos: " ^ Printexc.to_string e)
-    | Error e -> Error ("campaign refused to run under chaos: " ^ e)
-    | Ok under_chaos -> (
-      if chaos_fuzz_digest under_chaos <> chaos_fuzz_digest reference then
-        Error
-          (Printf.sprintf "summary diverged under chaos: %s vs %s"
-             (chaos_fuzz_digest under_chaos)
-             (chaos_fuzz_digest reference))
-      else
-        (* resume from whatever chaos left behind; a journal the loader
-           rejects outright is removed and the campaign restarted, exactly
-           as a recovering operator would *)
-        let resumed =
-          match Checkpoint.fuzz_run ~path ~resume:true cfg with
-          | Ok s -> Ok s
-          | Error _ ->
-            if Sys.file_exists path then Sys.remove path;
-            Checkpoint.fuzz_run ~path ~resume:false cfg
-        in
-        match resumed with
-        | Error e -> Error ("resume refused: " ^ e)
-        | Ok s when chaos_fuzz_digest s <> chaos_fuzz_digest reference ->
-          Error "resumed summary diverged from the uninterrupted run"
-        | Ok _ ->
-          if String.equal (chaos_read_file path) ref_bytes then Ok ()
-          else
-            Error
-              "resumed journal is not byte-identical to the uninterrupted \
-               run's"))
-
-let chaos_trace_digest (t : Explore.trace) =
-  let last =
-    match List.rev t.Explore.steps with
-    | s :: _ -> Ratio.to_string s.Explore.cycle_time
-    | [] -> "-"
-  in
-  Printf.sprintf "%d steps, met=%b, final ct %s"
-    (List.length t.Explore.steps)
-    t.Explore.met last
-
-(* Same invariant as the fuzz target, for the sequential DSE history. *)
-let chaos_check_dse ~dir ~seed plan =
-  let sys () =
-    Generate.generate
-      {
-        Generate.default with
-        processes = 6;
-        channels = 10;
-        layers = 2;
-        impls = 3;
-        max_process_latency = 40;
-        max_channel_latency = 25;
-        seed = 1 + (seed land 0xffff);
-      }
-  in
-  let tct = 60 in
-  let ref_path = Filename.concat dir "dse-ref.journal" in
-  let path = Filename.concat dir "dse.journal" in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ ref_path; path ];
-  match Checkpoint.dse_run ~path:ref_path ~resume:false ~tct (sys ()) with
-  | Error e -> Error ("reference run refused: " ^ e)
-  | Ok reference -> (
-    let ref_bytes = chaos_read_file ref_path in
-    let inj = Chaos.injector plan in
-    match Checkpoint.dse_run ~io:(Chaos.io inj) ~path ~resume:false ~tct (sys ()) with
-    | exception e ->
-      Error ("exploration crashed under chaos: " ^ Printexc.to_string e)
-    | Error e -> Error ("exploration refused to run under chaos: " ^ e)
-    | Ok under_chaos -> (
-      if chaos_trace_digest under_chaos <> chaos_trace_digest reference then
-        Error
-          (Printf.sprintf "trace diverged under chaos: %s vs %s"
-             (chaos_trace_digest under_chaos)
-             (chaos_trace_digest reference))
-      else
-        let resumed =
-          match Checkpoint.dse_run ~path ~resume:true ~tct (sys ()) with
-          | Ok t -> Ok t
-          | Error _ ->
-            if Sys.file_exists path then Sys.remove path;
-            Checkpoint.dse_run ~path ~resume:false ~tct (sys ())
-        in
-        match resumed with
-        | Error e -> Error ("resume refused: " ^ e)
-        | Ok t when chaos_trace_digest t <> chaos_trace_digest reference ->
-          Error "resumed trace diverged from the uninterrupted run"
-        | Ok _ ->
-          if String.equal (chaos_read_file path) ref_bytes then Ok ()
-          else
-            Error
-              "resumed journal is not byte-identical to the uninterrupted \
-               run's"))
-
-(* Invariant: the batch engine driven by a skewed clock still accounts for
-   every job and stays inside its 0/2/3 exit-code contract. *)
-let chaos_check_batch ~dir ~seed plan =
-  let inj = Chaos.injector plan in
-  let io = Chaos.io inj in
-  let files =
-    List.init 3 (fun i ->
-        let sys =
-          Generate.generate
-            {
-              Generate.default with
-              processes = 5;
-              channels = 8;
-              layers = 2;
-              impls = 2;
-              max_process_latency = 20;
-              max_channel_latency = 15;
-              seed = 1 + i + (seed land 0xff);
-            }
-        in
-        let p = Filename.concat dir (Printf.sprintf "job%d.soc" i) in
-        Soc_format.write_file p sys;
-        p)
-  in
-  let jobs =
-    List.map Batch.job_of_file files
-    @ [
-        {
-          Batch.file = List.hd files;
-          action = Batch.Analyze;
-          inject = Batch.Flaky 1;
-        };
-      ]
-  in
-  match Batch.run ~jobs:1 ~rounds:64 ~clock:io.Chaos.Io.clock jobs with
-  | exception e ->
-    Error ("batch crashed under a skewed clock: " ^ Printexc.to_string e)
-  | r ->
-    let total =
-      r.Batch.ok + r.Batch.failed + r.Batch.quarantined + r.Batch.timed_out
-      + r.Batch.skipped
-    in
-    if total <> List.length jobs then
-      Error
-        (Printf.sprintf "report accounts for %d of %d jobs" total
-           (List.length jobs))
-    else if not (List.mem (Batch.exit_code r) [ 0; 2; 3 ]) then
-      Error
-        (Printf.sprintf "exit code %d outside the 0/2/3 contract"
-           (Batch.exit_code r))
-    else Ok ()
-
-(* Invariant: the daemon survives EINTR storms and clock skew on its socket
-   loop — the handshake works, queued requests get well-formed replies, a
-   slow-loris half-frame is answered [bad-request] and closed within the
-   frame deadline, metrics stays available, and shutdown is clean. *)
-let chaos_check_serve ~dir plan =
-  (* Backward skew would merely postpone the frame deadline (and this
-     check's completion); the serve target interprets skew forward so a
-     campaign wave stays bounded. *)
-  let plan =
-    List.map
-      (function
-        | Chaos.Clock_skew { op; skew_s } when skew_s < 0. ->
-          Chaos.Clock_skew { op; skew_s = Float.abs skew_s }
-        | f -> f)
-      plan
-  in
-  let inj = Chaos.injector plan in
-  let socket = Filename.concat dir "chaos.sock" in
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let stop = Atomic.make false in
-  let cfg =
-    {
-      (Server.default_config ~socket) with
-      Server.workers = 1;
-      queue_capacity = 8;
-      frame_deadline_s = 1.;
-      io = Chaos.io inj;
-    }
-  in
-  let outcome = ref (Ok ()) in
-  let dom = Domain.spawn (fun () -> outcome := Server.run ~stop cfg) in
-  let finish res =
-    Atomic.set stop true;
-    Domain.join dom;
-    match (res, !outcome) with
-    | (Error _ as e), _ -> e
-    | Ok (), Ok () -> Ok ()
-    | Ok (), Error e -> Error ("daemon exited with: " ^ e)
-  in
-  let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () ->
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-      Ok fd
-    | exception Unix.Unix_error (e, _, _) ->
-      close_fd fd;
-      Error (Unix.error_message e)
-  in
-  let rec wait_ready tries =
-    match connect () with
-    | Ok fd -> Ok fd
-    | Error e ->
-      if tries = 0 then Error ("daemon did not come up: " ^ e)
-      else begin
-        Unix.sleepf 0.05;
-        wait_ready (tries - 1)
-      end
-  in
-  let send_raw fd s =
-    let rec go off =
-      if off < String.length s then
-        go (off + Unix.write_substring fd s off (String.length s - off))
-    in
-    match go 0 with
-    | () -> Ok ()
-    | exception Unix.Unix_error (e, _, _) ->
-      Error ("send: " ^ Unix.error_message e)
-  in
-  let send fd payload = send_raw fd (Sproto.frame payload) in
-  let buf = Bytes.create 4096 in
-  let recv what fd dec =
-    let rec go () =
-      match Sproto.next dec with
-      | Ok (Some payload) -> Ok payload
-      | Error e -> Error (what ^ ": bad frame from daemon: " ^ e)
-      | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> Error (what ^ ": connection closed before a reply")
-        | n ->
-          Sproto.feed dec buf n;
-          go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Error (what ^ ": no reply within 10 s")
-        | exception Unix.Unix_error (e, _, _) ->
-          Error (what ^ ": recv: " ^ Unix.error_message e))
-    in
-    go ()
-  in
-  let parsed what payload =
-    match Sproto.of_string payload with
-    | Ok j -> Ok j
-    | Error e -> Error (what ^ ": unparseable reply: " ^ e)
-  in
-  let rec expect_eof fd =
-    match Unix.read fd buf 0 (Bytes.length buf) with
-    | 0 -> Ok ()
-    | _ -> expect_eof fd (* drain the flush; EOF must follow *)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> expect_eof fd
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Error "loris connection not closed after bad-request"
-    | exception Unix.Unix_error _ -> Ok () (* reset counts as closed *)
-  in
-  let ( let* ) = Result.bind in
-  finish
-    (let* fd = wait_ready 100 in
-     let dec = Sproto.decoder () in
-     let res =
-       let* () =
-         send fd (Sproto.to_string (Sproto.hello_request ~client:"chaos"))
-       in
-       let* hello = recv "hello" fd dec in
-       let* j = parsed "hello" hello in
-       let* () =
-         if Sproto.str_member "status" j = Some "ok" then Ok ()
-         else Error ("hello not ok: " ^ hello)
-       in
-       let* () =
-         send fd
-           (Sproto.to_string
-              (Sproto.Obj [ ("id", Sproto.Int 1); ("verb", Sproto.Str "ping") ]))
-       in
-       (* the reply must be well-formed with the right id; a skewed clock
-          may legitimately expire the deadline, so any status goes *)
-       let* ping = recv "ping" fd dec in
-       let* pj = parsed "ping" ping in
-       let* () =
-         if Sproto.int_member "id" pj = Some 1 then Ok ()
-         else Error ("ping reply carries the wrong id: " ^ ping)
-       in
-       let* fd2 =
-         Result.map_error (fun e -> "loris connect: " ^ e) (connect ())
-       in
-       let res2 =
-         let* () = send_raw fd2 "64\n{\"half" in
-         let dec2 = Sproto.decoder () in
-         let* loris = recv "loris" fd2 dec2 in
-         let* lj = parsed "loris" loris in
-         let* () =
-           if Sproto.str_member "status" lj = Some "bad-request" then Ok ()
-           else Error ("loris reply is not bad-request: " ^ loris)
-         in
-         expect_eof fd2
-       in
-       close_fd fd2;
-       let* () = res2 in
-       let* () =
-         send fd
-           (Sproto.to_string
-              (Sproto.Obj
-                 [ ("id", Sproto.Int 2); ("verb", Sproto.Str "metrics") ]))
-       in
-       let* m = recv "metrics" fd dec in
-       let* mj = parsed "metrics" m in
-       if Sproto.str_member "status" mj = Some "ok" then Ok ()
-       else Error ("metrics not ok: " ^ m)
-     in
-     close_fd fd;
-     res)
-
-let chaos_targets = [ "journal"; "fuzz"; "dse"; "batch"; "serve" ]
-
-let chaos_kinds_of = function
-  | "journal" | "fuzz" | "dse" -> Chaos.file_kinds
-  | "batch" -> [ Chaos.Skew ]
-  | "serve" -> Chaos.socket_kinds
-  | _ -> assert false
-
-let chaos_check ~dir ~seed target plan =
-  match target with
-  | "journal" -> chaos_check_journal ~dir plan
-  | "fuzz" -> chaos_check_fuzz ~dir ~seed plan
-  | "dse" -> chaos_check_dse ~dir ~seed plan
-  | "batch" -> chaos_check_batch ~dir ~seed plan
-  | "serve" -> chaos_check_serve ~dir plan
-  | _ -> assert false
 
 let chaos_cmd =
   let seed_arg =
@@ -1718,25 +1258,9 @@ let chaos_cmd =
       exit 1
     in
     let targets =
-      let names =
-        String.split_on_char ',' target_spec
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      let names = if List.mem "all" names then chaos_targets else names in
-      List.iter
-        (fun t ->
-          if not (List.mem t chaos_targets) then
-            die
-              (Printf.sprintf
-                 "unknown chaos target %s (expected journal, fuzz, dse, \
-                  batch, serve or all)"
-                 t))
-        names;
-      if names = [] then die "no chaos target";
-      names
+      match Campaign.parse_targets target_spec with Ok t -> t | Error e -> die e
     in
-    let forced =
+    let plan =
       match plan_spec with
       | None -> None
       | Some s -> (
@@ -1745,70 +1269,28 @@ let chaos_cmd =
         | Error e -> die ("bad --plan: " ^ e))
     in
     if waves < 1 then die "--waves must be >= 1";
-    let waves = if forced = None then waves else 1 in
-    let dir = chaos_tmpdir () in
-    let violation = ref None in
-    Fun.protect
-      ~finally:(fun () -> chaos_rm_rf dir)
-      (fun () ->
-        for wave = 1 to waves do
-          List.iteri
-            (fun ti target ->
-              if !violation = None then begin
-                let plan =
-                  match forced with
-                  | Some p -> p
-                  | None ->
-                    Chaos.gen
-                      ~seed:(Chaos.derive seed ((wave * 8) + ti))
-                      ~kinds:(chaos_kinds_of target)
-                in
-                match chaos_check ~dir ~seed target plan with
-                | Ok () ->
-                  Printf.printf "wave %d %s [%s] ok\n%!" wave target
-                    (Chaos.to_spec plan)
-                | Error msg ->
-                  Printf.printf "wave %d %s [%s] VIOLATION: %s\n%!" wave
-                    target (Chaos.to_spec plan) msg;
-                  (* shrink with the fuzzer's minimizer: drop faults, then
-                     halve magnitudes, re-running the check each step *)
-                  let fails p =
-                    Result.is_error (chaos_check ~dir ~seed target p)
-                  in
-                  let minimal = Shrink.minimize ~fails ~step:Chaos.halve plan in
-                  let final_msg =
-                    match chaos_check ~dir ~seed target minimal with
-                    | Error m -> m
-                    | Ok () -> msg
-                  in
-                  violation := Some (target, plan, minimal, final_msg)
-              end)
-            targets
-        done);
-    match !violation with
+    let waves = if plan = None then waves else 1 in
+    let report ~wave target plan result =
+      let name = Campaign.name target and spec = Chaos.to_spec plan in
+      match result with
+      | Ok () -> Printf.printf "wave %d %s [%s] ok\n%!" wave name spec
+      | Error msg -> Printf.printf "wave %d %s [%s] VIOLATION: %s\n%!" wave name spec msg
+    in
+    match Campaign.run ?plan ~report ~seed ~waves targets with
     | None ->
       Printf.printf "chaos: seed %d, %d wave(s) over %s: all invariants hold\n"
         seed waves
-        (String.concat "," targets)
-    | Some (target, original, minimal, msg) ->
-      let spec = Chaos.to_spec minimal in
-      Printf.printf "shrunk to [%s]: %s\n" spec msg;
-      Printf.printf "replay: ermes chaos --target %s --plan '%s'\n" target spec;
+        (String.concat "," (List.map Campaign.name targets))
+    | Some v ->
+      Printf.printf "shrunk to [%s]: %s\n" (Chaos.to_spec v.Campaign.minimal) v.message;
+      Printf.printf "replay: %s\n" (Campaign.replay v);
       let file =
         match repro_file with
         | Some f -> f
         | None -> Printf.sprintf "chaos-repro-%d.txt" seed
       in
       Out_channel.with_open_text file (fun oc ->
-          Printf.fprintf oc
-            "ermes chaos repro\n\
-             seed: %d\n\
-             target: %s\n\
-             original plan: %s\n\
-             shrunk plan: %s\n\
-             violation: %s\n\
-             replay: ermes chaos --target %s --plan '%s'\n"
-            seed target (Chaos.to_spec original) spec msg target spec);
+          Out_channel.output_string oc (Campaign.repro ~seed v));
       Printf.printf "wrote %s\n" file;
       exit 2
   in

@@ -45,5 +45,12 @@ val run_case : ?rounds:int -> ?rtl:bool -> System.t -> Fault.scenario -> report
     invisible to the RTL but cannot change the steady state it is compared
     on. *)
 
+val monitor_repetition : System.t -> int
+(** q(monitor): how many iterations the monitor (the first sink) completes
+    per TMG period — 1 on unit-rate systems, and when the system has no
+    sink or no repetition vector. The simulator's and the RTL interpreter's
+    periods are per monitor iteration; multiplied by this factor, each is
+    the TMG cycle time. *)
+
 val agreed : report -> bool
 (** No mismatches. *)

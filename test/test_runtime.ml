@@ -22,6 +22,7 @@ module Journal = Ermes_runtime.Journal
 module Checkpoint = Ermes_runtime.Checkpoint
 module Batch = Ermes_runtime.Batch
 module Chaos = Ermes_chaos.Chaos
+module Campaign = Ermes_chaos_campaign.Campaign
 module Obs = Ermes_obs.Obs
 
 let contains = Astring_contains.contains
@@ -677,6 +678,55 @@ let test_chaos_halve_terminates () =
       Chaos.Rename_torn { op = 2 };
     ]
 
+(* ---- chaos campaign ------------------------------------------------------- *)
+
+(* A campaign seed and a plan drawn from the target's own kinds, shrunk the
+   way [ermes chaos] shrinks a violation: drop one fault, or halve one. *)
+let campaign_plan_gen target =
+  let shrink (seed, plan) =
+    let n = List.length plan in
+    let dropped = Seq.init n (fun i -> List.filteri (fun j _ -> j <> i) plan) in
+    let halved =
+      Seq.filter_map
+        (fun i ->
+          Option.map
+            (fun h -> List.mapi (fun j f -> if j = i then h else f) plan)
+            (Chaos.halve (List.nth plan i)))
+        (Seq.init n Fun.id)
+    in
+    Seq.map (fun p -> (seed, p)) (Seq.append dropped halved)
+  in
+  QCheck2.Gen.make_primitive ~shrink ~gen:(fun st ->
+      let seed = 1 + Random.State.int st 200 in
+      (seed, Chaos.gen ~seed:(Random.State.bits st) ~kinds:(Campaign.kinds target)))
+
+let campaign_prop target =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:50
+       ~name:(Campaign.name target ^ " invariant holds under drawn plans")
+       ~print:(fun (seed, plan) ->
+         Printf.sprintf "seed %d, plan %s" seed (Chaos.to_spec plan))
+       (campaign_plan_gen target)
+       (fun (seed, plan) ->
+         match Campaign.with_tmpdir (fun dir -> Campaign.check ~dir ~seed target plan) with
+         | Ok () -> true
+         | Error e -> QCheck2.Test.fail_report e))
+
+(* The daemon target on one fixed socket plan: an EINTR storm on a frame
+   read, one on a reply write, and a forward clock jump. Takes about the
+   frame deadline (1 s): the loris half-frame must wait it out. *)
+let test_campaign_serve () =
+  let plan =
+    [
+      Chaos.Read_eintr { op = 2; times = 3 };
+      Chaos.Write_eintr { op = 1; times = 2 };
+      Chaos.Clock_skew { op = 4; skew_s = 5. };
+    ]
+  in
+  match Campaign.with_tmpdir (fun dir -> Campaign.check ~dir ~seed:1 Campaign.Serve plan) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let dse_resume_prop =
   Helpers.qtest ~count:8 "dse: resume(kill point) == uninterrupted run"
     QCheck2.Gen.(pair Helpers.feedback_system_gen (pair (int_range 0 1000) (int_range 0 2)))
@@ -1028,6 +1078,12 @@ let () =
           Alcotest.test_case "fuzz enospc degrades and continues" `Quick
             test_fuzz_enospc_degrades;
         ] );
+      ( "chaos campaign",
+        List.map campaign_prop Campaign.[ Journal; Fuzz; Dse; Batch ]
+        @ [
+            Alcotest.test_case "serve survives a socket plan" `Quick
+              test_campaign_serve;
+          ] );
       ( "checkpoint",
         [
           Alcotest.test_case "fuzz codec" `Quick test_fuzz_codec_roundtrip;

@@ -21,6 +21,7 @@ module Admission = Ermes_serve.Admission
 module Cache = Ermes_serve.Cache
 module Session = Ermes_serve.Session
 module Server = Ermes_serve.Server
+module Client = Ermes_serve.Client
 
 let contains = Astring_contains.contains
 
@@ -522,40 +523,16 @@ let test_frame_deadline_end_to_end () =
     }
   in
   let dom = Domain.spawn (fun () -> Server.run ~stop cfg) in
-  let rec connect tries =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () ->
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
-      fd
-    | exception Unix.Unix_error _ when tries > 0 ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Unix.sleepf 0.05;
-      connect (tries - 1)
-  in
-  let send fd payload =
-    let s = Proto.frame payload in
-    let rec go off =
-      if off < String.length s then
-        go (off + Unix.write_substring fd s off (String.length s - off))
-    in
-    go 0
-  in
-  let buf = Bytes.create 4096 in
-  let recv fd dec =
-    let rec go () =
-      match Proto.next dec with
-      | Ok (Some p) -> p
-      | Error e -> Alcotest.failf "bad frame from daemon: %s" e
-      | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> Alcotest.fail "connection closed before a reply"
-        | n ->
-          Proto.feed dec buf n;
-          go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-    in
-    go ()
+  let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e in
+  let connect retries = ok "connect" (Client.connect ~retries ~timeout_s:20. socket) in
+  let send c payload = ok "send" (Client.send c payload) in
+  let recv c =
+    match Client.recv c with
+    | Ok p -> p
+    | Error (Client.Bad_frame e) -> Alcotest.failf "bad frame from daemon: %s" e
+    | Error Client.Closed -> Alcotest.fail "connection closed before a reply"
+    | Error Client.Timed_out -> Alcotest.fail "no reply within 20 s"
+    | Error (Client.Io e) -> Alcotest.failf "recv: %s" e
   in
   let status payload =
     match Proto.of_string payload with
@@ -570,15 +547,11 @@ let test_frame_deadline_end_to_end () =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () ->
       let loris = connect 100 in
-      let half = "64\n{\"half" in
-      ignore (Unix.write_substring loris half 0 (String.length half));
+      ok "send" (Client.send_raw loris "64\n{\"half");
       let good = connect 5 in
-      let gdec = Proto.decoder () in
       send good (Proto.to_string (Proto.hello_request ~client:"t"));
-      Alcotest.(check (option string)) "hello ok" (Some "ok")
-        (status (recv good gdec));
-      let ldec = Proto.decoder () in
-      let reply = recv loris ldec in
+      Alcotest.(check (option string)) "hello ok" (Some "ok") (status (recv good));
+      let reply = recv loris in
       Alcotest.(check (option string)) "loris cut with bad-request"
         (Some "bad-request") (status reply);
       (match Proto.of_string reply with
@@ -588,21 +561,15 @@ let test_frame_deadline_end_to_end () =
           | Some e -> contains e "frame"
           | None -> false)
       | Error e -> Alcotest.fail e);
-      (let rec eof () =
-         match Unix.read loris buf 0 (Bytes.length buf) with
-         | 0 -> ()
-         | _ -> eof ()
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> eof ()
-         | exception Unix.Unix_error _ -> ()
-       in
+      (let rec eof () = match Client.recv loris with Ok _ -> eof () | Error _ -> () in
        eof ());
       send good
         (Proto.to_string
            (Proto.Obj [ ("id", Proto.Int 1); ("verb", Proto.Str "ping") ]));
       Alcotest.(check (option string)) "good client still served" (Some "ok")
-        (status (recv good gdec));
-      (try Unix.close loris with Unix.Unix_error _ -> ());
-      try Unix.close good with Unix.Unix_error _ -> ())
+        (status (recv good));
+      Client.close loris;
+      Client.close good)
 
 (* ---- registration ---------------------------------------------------------- *)
 
