@@ -461,175 +461,3 @@ let to_json r =
     r.diagnostics;
   pf "]}";
   Buffer.contents buf
-
-(* A recursive-descent parser for exactly the JSON subset [to_json] emits. *)
-type json =
-  | Jobj of (string * json) list
-  | Jarr of json list
-  | Jstr of string
-  | Jint of int
-  | Jbool of bool
-
-exception Bad_json of string
-
-let parse_json text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> raise (Bad_json (Printf.sprintf "expected %C at %d, got %C" c !pos d))
-    | None -> raise (Bad_json (Printf.sprintf "expected %C at end of input" c))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad_json "unterminated string");
-      let c = text.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        if !pos >= n then raise (Bad_json "unterminated escape");
-        let e = text.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          if !pos + 4 > n then raise (Bad_json "truncated \\u escape");
-          let hex = String.sub text !pos 4 in
-          pos := !pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code when code < 0x100 -> Buffer.add_char buf (Char.chr code)
-          | Some _ -> raise (Bad_json "non-latin1 \\u escape unsupported")
-          | None -> raise (Bad_json "bad \\u escape"))
-        | c -> raise (Bad_json (Printf.sprintf "bad escape \\%c" c)));
-        go ()
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Jobj [] end
-      else begin
-        let rec members acc =
-          let key = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); skip_ws (); members ((key, v) :: acc)
-          | Some '}' -> advance (); List.rev ((key, v) :: acc)
-          | _ -> raise (Bad_json "expected ',' or '}' in object")
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Jarr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements (v :: acc)
-          | Some ']' -> advance (); List.rev (v :: acc)
-          | _ -> raise (Bad_json "expected ',' or ']' in array")
-        in
-        Jarr (elements [])
-      end
-    | Some 't' ->
-      if !pos + 4 <= n && String.sub text !pos 4 = "true" then begin
-        pos := !pos + 4;
-        Jbool true
-      end
-      else raise (Bad_json "bad literal")
-    | Some 'f' ->
-      if !pos + 5 <= n && String.sub text !pos 5 = "false" then begin
-        pos := !pos + 5;
-        Jbool false
-      end
-      else raise (Bad_json "bad literal")
-    | Some ('-' | '0' .. '9') ->
-      let start = !pos in
-      if peek () = Some '-' then advance ();
-      while !pos < n && match text.[!pos] with '0' .. '9' -> true | _ -> false do
-        advance ()
-      done;
-      (match int_of_string_opt (String.sub text start (!pos - start)) with
-      | Some i -> Jint i
-      | None -> raise (Bad_json "bad number"))
-    | Some c -> raise (Bad_json (Printf.sprintf "unexpected %C" c))
-    | None -> raise (Bad_json "unexpected end of input")
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad_json "trailing garbage");
-  v
-
-let of_json text =
-  let field obj key =
-    match List.assoc_opt key obj with
-    | Some v -> v
-    | None -> raise (Bad_json (Printf.sprintf "missing field %S" key))
-  in
-  let str = function Jstr s -> s | _ -> raise (Bad_json "expected string") in
-  let int = function Jint i -> i | _ -> raise (Bad_json "expected integer") in
-  let boolean = function Jbool b -> b | _ -> raise (Bad_json "expected boolean") in
-  match parse_json text with
-  | exception Bad_json m -> Stdlib.Error m
-  | Jobj fields -> (
-    try
-      let diagnostics =
-        match field fields "diagnostics" with
-        | Jarr items ->
-          List.map
-            (function
-              | Jobj d ->
-                {
-                  code = str (field d "code");
-                  severity =
-                    (match str (field d "severity") with
-                    | "error" -> Error
-                    | "warning" -> Warning
-                    | s -> raise (Bad_json (Printf.sprintf "bad severity %S" s)));
-                  line = int (field d "line");
-                  col = int (field d "col");
-                  message = str (field d "message");
-                }
-              | _ -> raise (Bad_json "diagnostic must be an object"))
-            items
-        | _ -> raise (Bad_json "diagnostics must be an array")
-      in
-      Ok
-        {
-          file = str (field fields "file");
-          checked_semantics = boolean (field fields "checked_semantics");
-          diagnostics;
-        }
-    with Bad_json m -> Stdlib.Error m)
-  | _ -> Stdlib.Error "top-level value must be an object"

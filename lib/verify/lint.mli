@@ -89,8 +89,3 @@ val to_json : report -> string
     [{"file":...,"checked_semantics":...,"errors":N,"warnings":N,
     "diagnostics":[{"code":...,"severity":...,"line":N,"col":N,
     "message":...}]}]. *)
-
-val of_json : string -> (report, string) result
-(** Parses {!to_json} output back; [of_json (to_json r) = Ok r]. Accepts
-    only the subset of JSON {!to_json} emits (objects, arrays, strings,
-    integers, booleans). *)
