@@ -17,7 +17,13 @@ exception Worker_failure of int * exn
    scheduling. Exceptions are caught per task together with the raw backtrace
    of their raise point (captured inside the worker domain, where it is still
    accurate); after all domains join, the first failing index re-raises with
-   that backtrace re-attached. *)
+   that backtrace re-attached.
+
+   Degradation ladder: a refused [Domain.spawn] means fewer workers, and a
+   worker that dies outside its tasks (an infrastructure failure: [attempt]
+   catches every task exception) costs only its domain — every slot it left
+   unfilled runs on the calling domain after the join. Both rungs count in
+   [parallel.lost_workers]. *)
 let run_tasks jobs n task =
   if n = 0 then [||]
   else begin
@@ -31,36 +37,41 @@ let run_tasks jobs n task =
     let attempt i =
       try Ok (task i) with e -> Error (e, Printexc.get_raw_backtrace ())
     in
-    if jobs = 1 then begin
-      for i = 0 to n - 1 do
-        results.(i) <- Some (attempt i)
-      done;
-      if obs then Ermes_obs.Obs.incr ~by:n "parallel.domain0.tasks"
-    end
-    else begin
-      let next = Atomic.make 0 in
-      let tally = Array.make jobs 0 in
-      let worker slot () =
-        let continue_ = ref true in
-        while !continue_ do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue_ := false
-          else begin
-            results.(i) <- Some (attempt i);
-            tally.(slot) <- tally.(slot) + 1
-          end
-        done
-      in
-      let domains = Array.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-      worker 0 ();
-      Array.iter Domain.join domains;
-      (* Recorded after the join, on the calling domain: the split across
-         slots is scheduling-dependent, only the total is deterministic. *)
-      if obs then
-        Array.iteri
-          (fun slot k ->
-            Ermes_obs.Obs.incr ~by:k (Printf.sprintf "parallel.domain%d.tasks" slot))
-          tally
+    let tally = Array.make jobs 0 in
+    let fill slot i =
+      results.(i) <- Some (attempt i);
+      tally.(slot) <- tally.(slot) + 1
+    in
+    let next = Atomic.make 0 in
+    let worker slot () =
+      let continue_ = ref true in
+      while !continue_ do
+        let i = Atomic.fetch_and_add next 1 in
+        if i >= n then continue_ := false else fill slot i
+      done
+    in
+    let lost = ref 0 in
+    let domains =
+      List.filter_map
+        (fun k ->
+          match Domain.spawn (worker (k + 1)) with
+          | d -> Some d
+          | exception _ ->
+            incr lost;
+            None)
+        (List.init (jobs - 1) Fun.id)
+    in
+    worker 0 ();
+    List.iter (fun d -> try Domain.join d with _ -> incr lost) domains;
+    Array.iteri (fun i r -> if Option.is_none r then fill 0 i) results;
+    (* Recorded after the join, on the calling domain: the split across
+       slots is scheduling-dependent, only the total is deterministic. *)
+    if obs then begin
+      Array.iteri
+        (fun slot k ->
+          Ermes_obs.Obs.incr ~by:k (Printf.sprintf "parallel.domain%d.tasks" slot))
+        tally;
+      if jobs > 1 then Ermes_obs.Obs.incr ~by:!lost "parallel.lost_workers"
     end;
     Array.mapi
       (fun i r ->

@@ -13,7 +13,12 @@
 
     [jobs] defaults to [ERMES_JOBS] when set (the CLI's [--jobs] flag
     overrides it), else 1: parallelism is opt-in, sequential semantics are
-    the reference. *)
+    the reference.
+
+    Degradation ladder: a refused [Domain.spawn] leaves fewer workers, and
+    the slots a worker domain left unfilled when it died run on the calling
+    domain after the join — the result is the same either way. The
+    [parallel.lost_workers] counter records each lost worker. *)
 
 val available : unit -> int
 (** [Domain.recommended_domain_count ()] — the host's useful parallelism. *)

@@ -102,8 +102,6 @@ type stats = {
   quarantined : int;
   timed_out : int;
   failed : int;
-  domains_used : int;
-  degraded : int;
 }
 
 (* One task under the policy: attempt / classify / retry to a terminal
@@ -150,59 +148,10 @@ let run ?jobs ?(policy = default_policy) n task =
   List.iter (Obs.incr ~by:0)
     [
       "runtime.tasks"; "runtime.retries"; "runtime.quarantines";
-      "runtime.timeouts"; "runtime.task_failures"; "runtime.degraded";
+      "runtime.timeouts"; "runtime.task_failures";
     ];
-  let results = Array.make (max n 0) None in
   let retries = Atomic.make 0 in
-  let degraded = ref 0 in
-  let domains_used = ref 1 in
-  if n > 0 then begin
-    let exec i = results.(i) <- Some (supervised policy retries task i) in
-    let jobs =
-      max 1 (min (match jobs with Some j -> j | None -> Parallel.default_jobs ()) n)
-    in
-    if jobs = 1 then
-      for i = 0 to n - 1 do
-        exec i
-      done
-    else begin
-      let next = Atomic.make 0 in
-      let worker () =
-        let continue_ = ref true in
-        while !continue_ do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue_ := false else exec i
-        done
-      in
-      (* Degradation ladder, rung 1: a refused spawn just means fewer
-         workers. [exec] cannot raise, but a worker may still die on
-         infrastructure failures (Out_of_memory in the scheduler, a hostile
-         [clock]) — rung 2 catches the join. *)
-      let domains =
-        List.filter_map
-          (fun _ ->
-            match Domain.spawn worker with
-            | d -> Some d
-            | exception _ ->
-              incr degraded;
-              None)
-          (List.init (jobs - 1) Fun.id)
-      in
-      domains_used := 1 + List.length domains;
-      worker ();
-      List.iter
-        (fun d -> try Domain.join d with _ -> incr degraded)
-        domains;
-      (* Rung 3, ultimately sequential: any slot a dead worker claimed but
-         never filled (or that was never claimed) runs on this domain. *)
-      for i = 0 to n - 1 do
-        match results.(i) with None -> exec i | Some _ -> ()
-      done
-    end
-  end;
-  let outcomes =
-    Array.map (function Some o -> o | None -> assert false) results
-  in
+  let outcomes = Parallel.init ?jobs (max n 0) (supervised policy retries task) in
   let completed = ref 0 and quarantined = ref 0 in
   let timed_out = ref 0 and failed = ref 0 in
   Array.iter
@@ -220,8 +169,6 @@ let run ?jobs ?(policy = default_policy) n task =
       quarantined = !quarantined;
       timed_out = !timed_out;
       failed = !failed;
-      domains_used = !domains_used;
-      degraded = !degraded;
     }
   in
   (* Counters recorded once, on the calling domain: values stay deterministic
@@ -231,7 +178,6 @@ let run ?jobs ?(policy = default_policy) n task =
   Obs.incr ~by:stats.quarantined "runtime.quarantines";
   Obs.incr ~by:stats.timed_out "runtime.timeouts";
   Obs.incr ~by:stats.failed "runtime.task_failures";
-  Obs.incr ~by:stats.degraded "runtime.degraded";
   (outcomes, stats)
 
 (* One task, this domain, full retry/backoff/timeout/cancellation

@@ -15,10 +15,10 @@
       [Timed_out] and not retried (the measurement is post-hoc: tasks are
       plain functions and cannot be preempted, so the budget bounds blame,
       not execution);
-    - when a worker domain cannot be spawned or dies outside a task, the
-      pool {e degrades} to fewer domains — ultimately to sequential
-      execution on the calling domain — instead of aborting; any task left
-      unexecuted by a dead worker is re-run sequentially after the join.
+    - tasks fan out through {!Ermes_parallel.Parallel}, whose degradation
+      ladder survives a refused spawn or a dead worker domain: fewer
+      domains, and any task a dead worker left unexecuted re-runs on the
+      calling domain after the join.
 
     Determinism: results are slotted by task index, so for pure tasks the
     [Done] subset is bit-identical to a sequential run for every [jobs]
@@ -29,7 +29,7 @@
 
     Obs counters (registered up front, under [ermes.runtime]):
     [runtime.tasks], [runtime.retries], [runtime.quarantines],
-    [runtime.timeouts], [runtime.task_failures], [runtime.degraded]. *)
+    [runtime.timeouts], [runtime.task_failures]. *)
 
 type failure = {
   exn : string;  (** [Printexc.to_string] of the last attempt's exception *)
@@ -124,8 +124,6 @@ type stats = {
   quarantined : int;
   timed_out : int;
   failed : int;  (** [Failed] outcomes *)
-  domains_used : int;  (** workers that actually ran, after degradation *)
-  degraded : int;  (** workers lost: spawn failures + dead domains *)
 }
 
 val run : ?jobs:int -> ?policy:policy -> int -> (int -> 'a) -> 'a outcome array * stats
