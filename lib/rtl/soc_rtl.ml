@@ -289,29 +289,6 @@ let build sys =
   Array.iter (fun s -> B.output b s) state_of;
   { design = B.finish b; state_of; iterations_of; fire_of }
 
-let detect_period times =
-  let arr = Array.of_list times in
-  let n = Array.length arr in
-  if n < 4 then None
-  else begin
-    let half = n / 2 in
-    let ok c =
-      if c < 1 || half + c > n then None
-      else begin
-        let delta = arr.(n - 1) - arr.(n - 1 - c) in
-        let uniform = ref true in
-        for k = half - 1 to n - 1 - c do
-          if arr.(k + c) - arr.(k) <> delta then uniform := false
-        done;
-        if !uniform && delta > 0 then Some (Ermes_tmg.Ratio.make delta c) else None
-      end
-    in
-    let rec search c =
-      if half + c > n then None else (match ok c with Some r -> Some r | None -> search (c + 1))
-    in
-    search 1
-  end
-
 type measurement =
   | Rtl_period of Ermes_tmg.Ratio.t
   | Rtl_no_period
@@ -357,7 +334,7 @@ let cosim ?(rounds = 48) ?max_cycles ?monitor sys =
   Obs.incr ~by:!cycles "rtl.interp.cycles";
   if !seen < rounds then Rtl_exhausted { cycles = !cycles; iterations = !seen }
   else
-    match detect_period (List.rev !completions) with
+    match Sim.detect_period (List.rev !completions) with
     | Some p -> Rtl_period p
     | None -> Rtl_no_period
 

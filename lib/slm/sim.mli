@@ -105,6 +105,13 @@ val run :
     exhausted. [Error] if the system has no sink and no [monitor] was
     given. *)
 
+val detect_period : int list -> Ermes_tmg.Ratio.t option
+(** [detect_period times] — the steady period of a monitor's completion
+    cycles, oldest first: the first [c] for which the second half of the
+    series satisfies [t(k+c) = t(k) + delta] uniformly, as [delta/c].
+    [None] with fewer than 4 completions or no such [c]. Shared with the
+    RTL co-simulation ({!Ermes_rtl.Soc_rtl.cosim}). *)
+
 type measurement =
   | Period of Ermes_tmg.Ratio.t
       (** exact steady-state cycle time of the monitored process *)
