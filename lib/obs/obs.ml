@@ -6,9 +6,13 @@
 
 type event = { ev_name : string; tid : int; t0 : float; t1 : float }
 
+(* Per-name span aggregate, updated as each span is recorded. *)
+type agg = { mutable calls : int; mutable total : float; mutable max : float }
+
 type sink = {
   lock : Mutex.t;
   counters : (string, int) Hashtbl.t;
+  spans : (string, agg) Hashtbl.t;
   mutable events : event list; (* newest first *)
   mutable n_events : int;
   epoch : float;
@@ -36,6 +40,7 @@ let enable () =
        {
          lock = Mutex.create ();
          counters = Hashtbl.create 64;
+         spans = Hashtbl.create 16;
          events = [];
          n_events = 0;
          epoch = !clock ();
@@ -69,7 +74,14 @@ let counters () =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let record s ev =
+  let d = ev.t1 -. ev.t0 in
   locked s (fun () ->
+      (match Hashtbl.find_opt s.spans ev.ev_name with
+      | Some a ->
+        a.calls <- a.calls + 1;
+        a.total <- a.total +. d;
+        a.max <- Float.max a.max d
+      | None -> Hashtbl.replace s.spans ev.ev_name { calls = 1; total = d; max = d });
       if s.n_events < max_events then begin
         s.events <- ev :: s.events;
         s.n_events <- s.n_events + 1
@@ -89,37 +101,24 @@ type span_stat = { span_name : string; calls : int; total_s : float; max_s : flo
 
 type snapshot = { snap_counters : (string * int) list; snap_spans : span_stat list }
 
-let aggregate_events events =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      let d = ev.t1 -. ev.t0 in
-      match Hashtbl.find_opt tbl ev.ev_name with
-      | None -> Hashtbl.replace tbl ev.ev_name (1, d, d)
-      | Some (calls, total, mx) ->
-        Hashtbl.replace tbl ev.ev_name (calls + 1, total +. d, Float.max mx d))
-    events;
-  Hashtbl.fold
-    (fun span_name (calls, total_s, max_s) acc ->
-      { span_name; calls; total_s; max_s } :: acc)
-    tbl []
-  |> List.sort (fun a b -> String.compare a.span_name b.span_name)
-
-(* Counters and events are captured under one lock acquisition, so the two
-   halves agree with each other even while worker domains keep recording:
-   every event present is counted, none is half-applied. Aggregation happens
-   after the lock is released (the events list is immutable). *)
+(* Counters and span aggregates are read under one lock acquisition, so the
+   two halves agree with each other even while worker domains keep
+   recording: every span present is counted, none is half-applied. *)
 let snapshot () =
   match Atomic.get sink with
   | None -> { snap_counters = []; snap_spans = [] }
   | Some s ->
-    let cs, events =
+    let cs, spans =
       locked s (fun () ->
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.counters [], s.events))
+          ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.counters [],
+            Hashtbl.fold
+              (fun span_name (a : agg) acc ->
+                { span_name; calls = a.calls; total_s = a.total; max_s = a.max } :: acc)
+              s.spans [] ))
     in
     {
       snap_counters = List.sort (fun (a, _) (b, _) -> String.compare a b) cs;
-      snap_spans = aggregate_events events;
+      snap_spans = List.sort (fun a b -> String.compare a.span_name b.span_name) spans;
     }
 
 let span_stats () = (snapshot ()).snap_spans

@@ -61,7 +61,12 @@ type span_stat = {
 }
 
 val span_stats : unit -> span_stat list
-(** Aggregated per-name statistics, sorted by name. *)
+(** Aggregated per-name statistics, sorted by name. They count every span
+    recorded since {!enable}, including those past {!max_events}. *)
+
+val max_events : int
+(** How many individual span events a sink retains for {!chrome_trace}
+    (10{^6}); later spans still count in {!span_stats}. *)
 
 (** {1 Snapshots}
 
@@ -80,7 +85,7 @@ val snapshot : unit -> snapshot
 (** A consistent view of all counters and span aggregates: both halves are
     read under one lock acquisition, so concurrent writers can never be
     half-reflected. Empty when disabled. Safe to call from any domain at any
-    rate; cost is O(events) for the span aggregation. *)
+    rate; cost is O(counters + span names). *)
 
 (** {1 Exporters} *)
 

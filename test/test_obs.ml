@@ -160,6 +160,26 @@ let test_span_stats () =
   Alcotest.(check bool) "totals are non-negative" true
     (List.for_all (fun s -> s.Obs.total_s >= 0. && s.Obs.max_s >= 0.) stats)
 
+(* Past [max_events] the sink stops retaining events, but the aggregates
+   keep counting: a long-lived daemon's metrics must not freeze. *)
+let test_span_stats_past_cap () =
+  let tick = ref 0. in
+  Obs.set_clock (fun () ->
+      tick := !tick +. 1.;
+      !tick);
+  Fun.protect ~finally:(fun () -> Obs.set_clock Sys.time) @@ fun () ->
+  with_obs @@ fun () ->
+  let n = Obs.max_events + 10 in
+  for _ = 1 to n do
+    Obs.span "s" ignore
+  done;
+  match Obs.span_stats () with
+  | [ s ] ->
+    Alcotest.(check int) "every span counted" n s.Obs.calls;
+    Alcotest.(check (float 0.)) "total of unit spans" (float_of_int n) s.Obs.total_s;
+    Alcotest.(check (float 0.)) "max" 1. s.Obs.max_s
+  | _ -> Alcotest.fail "expected one span name"
+
 let test_chrome_trace_shape () =
   with_obs @@ fun () ->
   Obs.incr ~by:3 "my.counter";
@@ -273,6 +293,8 @@ let () =
       ( "exporters",
         [
           Alcotest.test_case "span stats" `Quick test_span_stats;
+          Alcotest.test_case "span stats past max_events" `Quick
+            test_span_stats_past_cap;
           Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
           Alcotest.test_case "summary shape" `Quick test_summary_shape;
         ] );
