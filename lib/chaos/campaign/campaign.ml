@@ -286,6 +286,11 @@ let check_serve ~dir plan =
     | Ok (), Error e -> Error ("daemon exited with: " ^ e)
   in
   let sent = Result.map_error (fun e -> "send: " ^ e) in
+  let request c id verb =
+    sent
+      (Client.send c
+         (Proto.to_string (Proto.Obj [ ("id", Proto.Int id); ("verb", Proto.Str verb) ])))
+  in
   let recv what c =
     match Client.recv c with
     | Ok payload -> Ok payload
@@ -321,11 +326,7 @@ let check_serve ~dir plan =
          if Proto.str_member "status" j = Some "ok" then Ok ()
          else Error ("hello not ok: " ^ hello)
        in
-       let* () =
-         sent
-           (Client.send c
-              (Proto.to_string (Proto.Obj [ ("id", Proto.Int 1); ("verb", Proto.Str "ping") ])))
-       in
+       let* () = request c 1 "ping" in
        (* the reply must be well-formed with the right id; a skewed clock
           may legitimately expire the deadline, so any status goes *)
        let* ping = recv "ping" c in
@@ -349,12 +350,7 @@ let check_serve ~dir plan =
        in
        Client.close loris;
        let* () = res2 in
-       let* () =
-         sent
-           (Client.send c
-              (Proto.to_string
-                 (Proto.Obj [ ("id", Proto.Int 2); ("verb", Proto.Str "metrics") ])))
-       in
+       let* () = request c 2 "metrics" in
        let* m = recv "metrics" c in
        let* mj = parsed "metrics" m in
        if Proto.str_member "status" mj = Some "ok" then Ok ()

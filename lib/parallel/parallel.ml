@@ -83,15 +83,10 @@ let run_tasks jobs n task =
       results
   end
 
-let map ?jobs f xs =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let arr = Array.of_list xs in
-  Array.to_list (run_tasks jobs (Array.length arr) (fun i -> f arr.(i)))
-
-let map_array ?jobs f arr =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  run_tasks jobs (Array.length arr) (fun i -> f arr.(i))
-
 let init ?jobs n f =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   run_tasks jobs n f
+
+let map ?jobs f xs =
+  let arr = Array.of_list xs in
+  Array.to_list (init ?jobs (Array.length arr) (fun i -> f arr.(i)))

@@ -40,7 +40,5 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     (clamped to the task count; [jobs <= 1] runs inline with no domain
     spawned). *)
 
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-
 val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [init ~jobs n f] is [Array.init n f] with [f] fanned out. *)

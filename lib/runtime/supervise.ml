@@ -187,8 +187,3 @@ let attempt ?(policy = default_policy) f =
   if policy.max_attempts < 1 then invalid_arg "Supervise.attempt: max_attempts < 1";
   let retries = Atomic.make 0 in
   supervised policy retries (fun _ -> f ()) 0
-
-let map ?jobs ?policy f xs =
-  let arr = Array.of_list xs in
-  let outcomes, stats = run ?jobs ?policy (Array.length arr) (fun i -> f arr.(i)) in
-  (Array.to_list outcomes, stats)

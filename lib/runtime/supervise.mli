@@ -133,9 +133,6 @@ val run : ?jobs:int -> ?policy:policy -> int -> (int -> 'a) -> 'a outcome array 
     not share mutable state (same contract as {!Ermes_parallel.Parallel}).
     Never raises on task failure — every slot holds an outcome. *)
 
-val map : ?jobs:int -> ?policy:policy -> ('a -> 'b) -> 'a list -> 'b outcome list * stats
-(** [map f xs] is {!run} over the elements of [xs]. *)
-
 val attempt : ?policy:policy -> (unit -> 'a) -> 'a outcome
 (** [attempt f] supervises one task on the calling domain: retries with the
     policy's backoff, post-hoc [timeout_s] classification, {!Cancelled}
