@@ -1078,7 +1078,7 @@ let () =
           Alcotest.test_case "fuzz enospc degrades and continues" `Quick
             test_fuzz_enospc_degrades;
         ] );
-      ( "chaos campaign",
+      ( "campaign",
         List.map campaign_prop Campaign.[ Journal; Fuzz; Dse; Batch ]
         @ [
             Alcotest.test_case "serve survives a socket plan" `Quick
