@@ -48,18 +48,6 @@ let kinds = function
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let remove_files = List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
 
-let tmpdir () =
-  let rec go i =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ermes-chaos-%d-%d" (Unix.getpid ()) i)
-    in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0
-
 let rec rm_rf p =
   match (Unix.lstat p).Unix.st_kind with
   | Unix.S_DIR ->
@@ -69,10 +57,20 @@ let rec rm_rf p =
   | exception Unix.Unix_error _ -> ()
 
 let with_tmpdir f =
-  let dir = tmpdir () in
+  let rec fresh i =
+    let d =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "ermes-chaos-%d-%d" (Unix.getpid ()) i)
+    in
+    match Unix.mkdir d 0o700 with
+    | () -> d
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> fresh (i + 1)
+  in
+  let dir = fresh 0 in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let check_journal ~dir plan =
+  let module Journal = Ermes_runtime.Journal in
   let path = Filename.concat dir "journal.j" in
   remove_files [ path; path ^ ".tmp" ];
   let inj = Chaos.injector plan in
@@ -91,21 +89,21 @@ let check_journal ~dir plan =
   let check_disk () =
     if not (Sys.file_exists path) then Ok ()
     else
-      match Ermes_runtime.Journal.load path with
+      match Journal.load path with
       | exception e -> Error ("journal load raised " ^ Printexc.to_string e)
       | Error _ -> Ok () (* recovery reported the damage; it never lied *)
       | Ok l ->
-        if prefix_ok l.Ermes_runtime.Journal.entries then Ok ()
+        if prefix_ok l.Journal.entries then Ok ()
         else Error "recovered journal is not a prefix of the appended records"
   in
-  match Ermes_runtime.Journal.start ~io:(Chaos.io inj) ~kind:"chaos" path with
+  match Journal.start ~io:(Chaos.io inj) ~kind:"chaos" path with
   | exception (Unix.Unix_error _ | Sys_error _) -> check_disk ()
   | j ->
     let rec go = function
       | [] -> check_disk ()
       | p :: rest -> (
         attempted := p :: !attempted;
-        match Ermes_runtime.Journal.append j p with
+        match Journal.append j p with
         | () -> ( match check_disk () with Ok () -> go rest | e -> e)
         | exception (Unix.Unix_error _ | Sys_error _) ->
           (* the fault surfaced to the caller; the disk must still hold a

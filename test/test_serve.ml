@@ -571,6 +571,55 @@ let test_frame_deadline_end_to_end () =
       Client.close loris;
       Client.close good)
 
+(* Every way a daemon can fail a client comes back as a value, which is what
+   lets [ermes call] and the chaos campaign word and exit on each their own
+   way: a missing socket, a peer that never answers, a peer that sends a
+   malformed frame, a peer that hangs up. *)
+let test_client_failures () =
+  let dir = Filename.temp_file "ermes_client" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "c.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      (try Sys.remove path with Sys_error _ -> ());
+      Unix.rmdir dir)
+    (fun () ->
+      Alcotest.(check bool) "missing socket" true
+        (Result.is_error (Client.connect ~timeout_s:1. path));
+      Unix.bind listener (Unix.ADDR_UNIX path);
+      Unix.listen listener 4;
+      (* [f client peer]: the client's connection and the accepted end *)
+      let with_peer f =
+        match Client.connect ~timeout_s:0.2 path with
+        | Error e -> Alcotest.failf "connect: %s" e
+        | Ok c ->
+          let peer, _ = Unix.accept listener in
+          Fun.protect
+            ~finally:(fun () ->
+              Client.close c;
+              Unix.close peer)
+            (fun () -> f c peer)
+      in
+      let failure = function
+        | Ok p -> "reply " ^ p
+        | Error Client.Closed -> "closed"
+        | Error Client.Timed_out -> "timed out"
+        | Error (Client.Bad_frame _) -> "bad frame"
+        | Error (Client.Io e) -> "io " ^ e
+      in
+      with_peer (fun c _ ->
+          Alcotest.(check string) "silent peer" "timed out" (failure (Client.recv c)));
+      with_peer (fun c peer ->
+          ignore (Unix.write_substring peer "bogus!\n" 0 7);
+          Alcotest.(check string) "garbage" "bad frame" (failure (Client.recv c)));
+      with_peer (fun c peer ->
+          ignore (Unix.write_substring peer "5\nhel" 0 5);
+          Unix.shutdown peer Unix.SHUTDOWN_SEND;
+          Alcotest.(check string) "hang-up mid-frame" "closed" (failure (Client.recv c))))
+
 (* ---- registration ---------------------------------------------------------- *)
 
 let () =
@@ -627,4 +676,5 @@ let () =
           Alcotest.test_case "slow-loris cut, good client served" `Quick
             test_frame_deadline_end_to_end;
         ] );
+      ("client", [ Alcotest.test_case "failures are values" `Quick test_client_failures ]);
     ]
