@@ -24,16 +24,14 @@ module Chaos = Ermes_chaos.Chaos
 
 type target = Journal | Fuzz | Dse | Batch | Serve
 
-val all : target list
-(** Every target, in campaign order. *)
-
 val name : target -> string
 (** ["journal"], ["fuzz"], ["dse"], ["batch"], ["serve"]. *)
 
 val parse_targets : string -> (target list, string) result
 (** A comma-separated target list, as given to [ermes chaos --target]:
-    names in the order given, or {!all} when the list names [all]. [Error]
-    names the first unknown target, or says that the list is empty. *)
+    names in the order given, or every target (journal, fuzz, dse, batch,
+    serve) when the list names [all]. [Error] names the first unknown
+    target, or says that the list is empty. *)
 
 val kinds : target -> Chaos.kind list
 (** The fault kinds a target's plans are drawn from. *)
@@ -52,7 +50,7 @@ val with_tmpdir : (string -> 'a) -> 'a
 type violation = {
   target : target;
   original : Chaos.plan;  (** the plan that first failed *)
-  minimal : Chaos.plan;  (** shrunk: no fault can be dropped or halved *)
+  minimal : Chaos.plan;  (** shrunk: faults dropped, then halved *)
   message : string;  (** the violation under [minimal] *)
 }
 
@@ -64,8 +62,8 @@ val run :
   target list ->
   violation option
 (** [run ~report ~seed ~waves targets] checks every target in every wave
-    1..[waves], in one {!with_tmpdir} directory. Wave [w]
-    draws target number [i] (0-based, in [targets] order) its plan from
+    1..[waves], in one {!with_tmpdir} directory. Wave [w] draws target
+    number [i] (0-based, in [targets] order) its plan from
     [Chaos.derive seed (w*8 + i)]; [plan] replaces every drawn plan.
     [report] hears each check as it completes. The campaign stops at the
     first violation and returns it shrunk with
