@@ -105,7 +105,7 @@ type stats = {
 }
 
 (* One task under the policy: attempt / classify / retry to a terminal
-   outcome. Never lets an exception escape (the pool's workers rely on it). *)
+   outcome. Never lets a task's exception escape: every slot gets an outcome. *)
 let supervised policy retries task i =
   let rec go attempt =
     let t0 = policy.clock () in
