@@ -213,6 +213,114 @@ let prop_bb_vs_dp =
       | None, None -> true
       | _ -> false)
 
+(* Brute force: the best feasible point among [candidates], which must
+   contain every integer point of [lp]'s feasible region. Branch and bound
+   must agree on infeasibility and on the optimum, and return an integral,
+   feasible [x] that attains its objective. *)
+let agrees_with_enumeration lp candidates =
+  let better a b =
+    match lp.Lp.objective with Lp.Maximize -> a > b | Lp.Minimize -> a < b
+  in
+  let best =
+    List.fold_left
+      (fun acc x ->
+        if not (Lp.feasible lp x) then acc
+        else
+          let v = Lp.objective_value lp x in
+          match acc with Some b when not (better v b) -> acc | _ -> Some v)
+      None candidates
+  in
+  match (Branch_bound.solve lp, best) with
+  | Branch_bound.Infeasible, None -> true
+  | Branch_bound.Optimal { x; objective }, Some b ->
+    Float.abs (objective -. b) <= 1e-6
+    && Float.abs (Lp.objective_value lp x -. objective) <= 1e-6
+    && Array.for_all (fun v -> Float.abs (v -. Float.round v) <= 1e-6) x
+    && Lp.feasible lp x
+  | _ -> false
+
+let objective_gen = QCheck2.Gen.oneofl [ Lp.Maximize; Lp.Minimize ]
+
+(* Shaped like Ilp_select's problems: groups of binaries with one-of-each
+   equality rows, plus signed budget rows of either sense. *)
+let selection_gen =
+  QCheck2.Gen.(
+    let* sizes = list_size (int_range 1 5) (int_range 1 5) in
+    let nvars = List.fold_left ( + ) 0 sizes in
+    let* costs = array_repeat nvars (float_range (-10.) 10.) in
+    let* budgets =
+      list_size (int_range 1 2)
+        (triple (list_repeat nvars (int_range (-9) 9)) (oneofl [ Lp.Le; Lp.Ge ])
+           (int_range (-20) 20))
+    in
+    let* objective = objective_gen in
+    return (sizes, costs, budgets, objective))
+
+let prop_bb_selection =
+  Helpers.qtest ~count:1000 "branch-and-bound equals enumeration on selection ILPs"
+    selection_gen (fun (sizes, costs, budgets, objective) ->
+      let nvars = Array.length costs in
+      let groups =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (first, acc) k -> (first + k, List.init k (fun i -> first + i) :: acc))
+                (0, []) sizes))
+      in
+      let one_of_each = List.map (fun g -> Lp.row (List.map (fun v -> (v, 1.)) g) Lp.Eq 1.) groups in
+      let budget_rows =
+        List.map
+          (fun (coeffs, op, rhs) ->
+            Lp.row (List.mapi (fun v c -> (v, float_of_int c)) coeffs) op (float_of_int rhs))
+          budgets
+      in
+      let lp = Lp.make objective costs (budget_rows @ one_of_each) in
+      (* Every one-of-each choice, as a 0/1 point. *)
+      let choices =
+        List.fold_left
+          (fun partial g -> List.concat_map (fun p -> List.map (fun v -> v :: p) g) partial)
+          [ [] ] groups
+      in
+      agrees_with_enumeration lp
+        (List.map
+           (fun chosen ->
+             let x = Array.make nvars 0. in
+             List.iter (fun v -> x.(v) <- 1.) chosen;
+             x)
+           choices))
+
+(* General integers in a [0,3] box under rows of all three senses. *)
+let box_gen =
+  QCheck2.Gen.(
+    let* nvars = int_range 1 3 in
+    let* costs = array_repeat nvars (float_range (-5.) 5.) in
+    let* rows =
+      list_size (int_range 1 3)
+        (triple (list_repeat nvars (int_range (-3) 3)) (oneofl [ Lp.Le; Lp.Ge; Lp.Eq ])
+           (int_range (-6) 9))
+    in
+    let* objective = objective_gen in
+    return (costs, rows, objective))
+
+let prop_bb_box =
+  Helpers.qtest ~count:300 "branch-and-bound equals enumeration on boxed integer programs"
+    box_gen (fun (costs, rows, objective) ->
+      let nvars = Array.length costs in
+      let lp =
+        Lp.make objective costs
+          (List.map
+             (fun (coeffs, op, rhs) ->
+               Lp.row (List.mapi (fun v c -> (v, float_of_int c)) coeffs) op (float_of_int rhs))
+             rows
+          @ List.init nvars (fun v -> Lp.row [ (v, 1.) ] Lp.Le 3.))
+      in
+      let points =
+        List.fold_left
+          (fun partial _ -> List.concat_map (fun p -> List.init 4 (fun k -> float_of_int k :: p)) partial)
+          [ [] ] (Array.to_list costs)
+      in
+      agrees_with_enumeration lp (List.map Array.of_list points))
+
 let test_bb_node_count () =
   let lp =
     Lp.make Lp.Maximize [| 1.; 1. |]
@@ -351,5 +459,6 @@ let () =
           Alcotest.test_case "multiple choice" `Quick test_mckp;
           Alcotest.test_case "negative values" `Quick test_mckp_negative_values;
         ] );
-      ("property", [ prop_simplex_sound; prop_bb_vs_dp; prop_mckp_vs_brute ]);
+      ( "property",
+        [ prop_simplex_sound; prop_bb_vs_dp; prop_bb_selection; prop_bb_box; prop_mckp_vs_brute ] );
     ]
