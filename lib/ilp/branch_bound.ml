@@ -17,62 +17,70 @@ let solve ?integer (lp : Lp.t) =
   in
   if Array.length integer <> lp.nvars then
     invalid_arg "Branch_bound.solve: integer mask length mismatch";
+  Ermes_obs.Obs.span "ilp.solve" @@ fun () ->
   let better =
     match lp.objective with
     | Lp.Maximize -> fun a b -> a > b +. 1e-9
     | Lp.Minimize -> fun a b -> a < b -. 1e-9
   in
   let incumbent = ref None in
-  let nodes = ref 0 in
-  let unbounded = ref false in
-  (* [extra] accumulates the branching bound rows of the current subtree. *)
-  let rec explore extra =
-    if not !unbounded then begin
-      incr nodes;
-      let sub = { lp with Lp.rows = extra @ lp.rows } in
-      match Simplex.solve sub with
-      | Simplex.Infeasible -> ()
-      | Simplex.Unbounded -> unbounded := true
-      | Simplex.Optimal { x; objective } ->
-        let dominated =
-          match !incumbent with
-          | Some (_, best) -> not (better objective best)
-          | None -> false
-        in
-        if not dominated then begin
-          (* Most fractional integer variable. *)
-          let branch_var = ref (-1) in
-          let branch_score = ref 0. in
-          Array.iteri
-            (fun i v ->
-              if integer.(i) && not (is_integral v) then begin
-                let frac = Float.abs (v -. Float.round v) in
-                if frac > !branch_score then begin
-                  branch_score := frac;
-                  branch_var := i
-                end
-              end)
-            x;
-          if !branch_var < 0 then
-            (* Integral on all integer variables: new incumbent. *)
-            incumbent := Some (x, objective)
-          else begin
-            let i = !branch_var in
-            let v = x.(i) in
-            let fl = Float.of_int (int_of_float (Float.floor (v +. int_eps))) in
-            explore (Lp.row [ (i, 1.) ] Lp.Le fl :: extra);
-            explore (Lp.row [ (i, 1.) ] Lp.Ge (fl +. 1.) :: extra)
-          end
-        end
+  let nodes = ref 1 in
+  let pivots0 = Simplex.pivots () in
+  (* [t] is the node's optimal tableau; each child copies it with one more
+     bound row and re-optimizes from there. *)
+  let rec explore t =
+    let x, objective = Simplex.point t in
+    let dominated =
+      match !incumbent with
+      | Some (_, best) -> not (better objective best)
+      | None -> false
+    in
+    if not dominated then begin
+      (* Most fractional integer variable. *)
+      let branch_var = ref (-1) in
+      let branch_score = ref 0. in
+      Array.iteri
+        (fun i v ->
+          if integer.(i) && not (is_integral v) then begin
+            let frac = Float.abs (v -. Float.round v) in
+            if frac > !branch_score then begin
+              branch_score := frac;
+              branch_var := i
+            end
+          end)
+        x;
+      if !branch_var < 0 then
+        (* Integral on all integer variables: new incumbent. *)
+        incumbent := Some (x, objective)
+      else begin
+        let i = !branch_var in
+        let fl = Float.of_int (int_of_float (Float.floor (x.(i) +. int_eps))) in
+        (* Rounded-up child first: on one-of-each binaries it fixes a whole
+           group per level, so a first incumbent comes within one level per
+           group and the bound starts pruning early. *)
+        List.iter
+          (fun bound ->
+            incr nodes;
+            Option.iter explore (Simplex.add_row t bound))
+          [ Lp.row [ (i, 1.) ] Lp.Ge (fl +. 1.); Lp.row [ (i, 1.) ] Lp.Le fl ]
+      end
     end
   in
-  explore [];
+  let result =
+    match Simplex.solve_tableau lp with
+    | `Infeasible -> Infeasible
+    | `Unbounded -> Unbounded
+    | `Optimal root -> (
+      explore root;
+      match !incumbent with
+      | None -> Infeasible
+      | Some (x, objective) -> Optimal { x; objective })
+  in
   last_nodes := !nodes;
-  if !unbounded then Unbounded
-  else
-    match !incumbent with
-    | None -> Infeasible
-    | Some (x, objective) -> Optimal { x; objective }
+  Ermes_obs.Obs.incr "ilp.solves";
+  Ermes_obs.Obs.incr ~by:!nodes "ilp.nodes";
+  Ermes_obs.Obs.incr ~by:(Simplex.pivots () - pivots0) "ilp.pivots";
+  result
 
 let int_solution x =
   Array.mapi

@@ -2,12 +2,20 @@
 
     Replaces the GLPK dependency of the paper's prototype. Intended for the
     instances the ERMES methodology generates: one binary variable per
-    (process, implementation) pair, one-of-each selection rows, and a single
-    budget row — a few hundred variables at most.
+    (process, implementation) pair, one-of-each selection rows, and one or
+    two budget rows — up to 243 variables and 29 rows on MPEG-2.
 
     Branching is depth-first on the most fractional integer variable, with
-    bound pruning against the incumbent. Bound rows ([x_i <= k], [x_i >= k])
-    are added as ordinary constraints on the subproblem. *)
+    bound pruning against the incumbent. The search dives: it explores the
+    rounded-up child ([x_i >= floor + 1]) first, which on one-of-each
+    binaries fixes a whole group per level, so a first incumbent arrives
+    within one level per group. The root LP is solved two-phase once; each
+    child copies its parent's optimal tableau, adds its one bound row and
+    re-optimizes with {!Simplex.add_row}'s dual simplex, a few pivots a node.
+
+    Each call records an [ilp.solve] span and adds to the counters
+    [ilp.solves] (one per call), [ilp.nodes] (LPs solved, infeasible ones
+    included) and [ilp.pivots] (simplex pivots over all of them). *)
 
 type result =
   | Optimal of { x : float array; objective : float }

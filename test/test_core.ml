@@ -547,6 +547,21 @@ let test_explore_unreachable_target () =
   let trace = Explore.run ~tct:3 sys in
   Alcotest.(check bool) "missed but terminated" true (not trace.Explore.met)
 
+(* The paper's MPEG-2 case study at target 150000, pinned to the answer
+   `ermes dse` prints (test/dse.t). The node bound holds the search to its
+   dive and warm start: a floor-first, from-scratch search took 20,444. *)
+let test_explore_mpeg2 () =
+  let sys = Ermes_mpeg2.Soc.build () in
+  Ermes_mpeg2.Soc.select_fastest sys;
+  let was_enabled = Ermes_obs.Obs.enabled () in
+  Ermes_obs.Obs.enable ();
+  let trace = Explore.run ~tct:150000 sys in
+  let nodes = Ermes_obs.Obs.counter "ilp.nodes" in
+  if not was_enabled then Ermes_obs.Obs.disable ();
+  Helpers.check_ratio "cycle time" (Ratio.of_int 149549) (Explore.final_cycle_time trace);
+  Alcotest.(check string) "area" "8.1478" (Printf.sprintf "%.4f" (Explore.final_area trace));
+  Alcotest.(check bool) (Printf.sprintf "ilp.nodes %d <= 2000" nodes) true (nodes <= 2000)
+
 let prop_explore_monotone_outcome =
   let gen = QCheck2.Gen.(pair Helpers.feedback_system_gen (int_range 1 4)) in
   Helpers.qtest ~count:40 "exploration never ships worse than the start" gen
@@ -731,6 +746,7 @@ let () =
           Alcotest.test_case "area budget (dual formulation)" `Quick test_explore_area_budget_dual;
           Alcotest.test_case "fifo channels" `Quick test_explore_with_fifo_channels;
           Alcotest.test_case "result simulates" `Quick test_explore_result_simulates;
+          Alcotest.test_case "MPEG-2 at 150000" `Quick test_explore_mpeg2;
         ] );
       ( "frontier",
         [
