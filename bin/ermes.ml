@@ -1130,6 +1130,10 @@ let call_cmd =
       prerr_endline ("ermes: " ^ msg);
       exit code
     in
+    (* SO_RCVTIMEO reads 0 as "wait forever", and a negative value can
+       time a read out at once. *)
+    if not (Float.is_finite timeout_s && timeout_s > 0.) then
+      die 1 (Printf.sprintf "--timeout-s must be a positive number of seconds, got %g" timeout_s);
     let read_file path =
       try In_channel.with_open_bin path In_channel.input_all
       with Sys_error e -> die 1 e
