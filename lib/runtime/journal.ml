@@ -111,11 +111,19 @@ let persist j =
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
   in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      write_all j.io fd data;
-      j.io.Chaos.Io.fsync fd);
+  (match
+     Fun.protect
+       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+       (fun () ->
+         write_all j.io fd data;
+         j.io.Chaos.Io.fsync fd)
+   with
+   | () -> ()
+   | exception e ->
+     (* A partial temp file must not outlive the failed write. *)
+     let bt = Printexc.get_raw_backtrace () in
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+     Printexc.raise_with_backtrace e bt);
   j.io.Chaos.Io.rename tmp j.path;
   fsync_dir j.io (Filename.dirname j.path)
 

@@ -16,8 +16,9 @@
     short writes, EINTR storms and torn renames; the write loop already
     retries EINTR and continues short writes. An injected (or real) I/O
     failure surfaces from {!start}/{!append} as [Unix.Unix_error] or
-    [Sys_error] — {!Checkpoint} degrades to checkpoint-disabled on it
-    rather than crashing a campaign.
+    [Sys_error], after a failed write or fsync has removed [FILE.tmp] —
+    {!Checkpoint} degrades to checkpoint-disabled on it rather than crashing
+    a campaign.
 
     The format is line-oriented text. Header:
     [ermes-journal 1 <kind> <meta> <crc32>] where [kind] names the campaign

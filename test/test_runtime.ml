@@ -554,6 +554,8 @@ let test_fuzz_enospc_degrades () =
   Alcotest.(check int) "counted one degrade" 1 disabled;
   Alcotest.(check bool) "summary unchanged" true
     (fuzz_fingerprint plain = fuzz_fingerprint chaotic);
+  Alcotest.(check bool) "failed write leaves no temp file" false
+    (Sys.file_exists (path ^ ".tmp"));
   if Sys.file_exists path then Sys.remove path
 
 (* ---- chaos layer ---------------------------------------------------------- *)
