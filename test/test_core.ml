@@ -549,7 +549,8 @@ let test_explore_unreachable_target () =
 
 (* The paper's MPEG-2 case study at target 150000, pinned to the answer
    `ermes dse` prints (test/dse.t). The node bound holds the search to its
-   dive and warm start: a floor-first, from-scratch search took 20,444. *)
+   dive and warm start: a floor-first search that re-solved every node took
+   20,444. *)
 let test_explore_mpeg2 () =
   let sys = Ermes_mpeg2.Soc.build () in
   Ermes_mpeg2.Soc.select_fastest sys;
