@@ -172,28 +172,25 @@ let solve_tableau (lp : Lp.t) =
     price t c1;
     ignore (primal t);
     t.d.(ncols) >= -1e-7
-    && begin
-      (* Pivot any still-basic artificial out on a structural column; a row
-         with no such column is redundant and can stay (its rhs is zero). *)
-      let is_artificial = Array.make ncols false in
-      List.iter (fun j -> is_artificial.(j) <- true) !artificials;
-      for i = 0 to m - 1 do
-        if is_artificial.(t.basis.(i)) then begin
-          let j = ref 0 and found = ref false in
-          while (not !found) && !j < n + nslack do
-            if Float.abs t.a.(i).(!j) > eps then begin
-              pivot t ~row:i ~col:!j;
-              found := true
-            end;
-            incr j
-          done
-        end
-      done;
-      true
-    end
   in
   if not feasible then `Infeasible
   else begin
+    (* Pivot any still-basic artificial out on a structural column; a row
+       with no such column is redundant and can stay (its rhs is zero). *)
+    let is_artificial = Array.make ncols false in
+    List.iter (fun j -> is_artificial.(j) <- true) !artificials;
+    for i = 0 to m - 1 do
+      if is_artificial.(t.basis.(i)) then begin
+        let j = ref 0 and found = ref false in
+        while (not !found) && !j < n + nslack do
+          if Float.abs t.a.(i).(!j) > eps then begin
+            pivot t ~row:i ~col:!j;
+            found := true
+          end;
+          incr j
+        done
+      end
+    done;
     (* Phase 2: artificial columns must never re-enter. Zero them out of the
        tableau entirely and give them zero cost: a zero column has zero
        reduced cost, is never selected as entering (strictly negative reduced
