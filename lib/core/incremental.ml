@@ -181,12 +181,12 @@ let analyze_certified sess =
      solver's arrays; the certificate's rank vectors come off the same
      freeze. *)
   let fresh = Csr.of_tmg sess.mapping.To_tmg.tmg in
-  let certificate = Ermes_verify.Verify.of_howard_csr fresh raw in
-  {
-    outcome = Perf.of_howard sess.mapping raw;
-    certificate;
-    checked = Ermes_verify.Verify.check_csr fresh certificate;
-  }
+  let certificate, checked =
+    Obs.span "verify.certify" (fun () ->
+        let c = Ermes_verify.Verify.of_howard_csr fresh raw in
+        (c, Ermes_verify.Verify.check_csr fresh c))
+  in
+  { outcome = Perf.of_howard sess.mapping raw; certificate; checked }
 
 let analyze_exn sess =
   match analyze sess with

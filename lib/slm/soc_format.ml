@@ -1,3 +1,5 @@
+module Obs = Ermes_obs.Obs
+
 type limits = { max_bytes : int; max_token : int }
 
 (* Hard ceilings against hostile inputs. Overridable per call and through the
@@ -129,6 +131,7 @@ let check_tokens limits toks =
   toks
 
 let parse ?limits text =
+  Obs.span "soc_format.parse" @@ fun () ->
   let limits = match limits with Some l -> l | None -> default_limits () in
   match check_size limits text with
   | Error e -> Error e

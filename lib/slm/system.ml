@@ -1,6 +1,7 @@
 module Digraph = Ermes_digraph.Digraph
 module Traversal = Ermes_digraph.Traversal
 module Dot = Ermes_digraph.Dot
+module Obs = Ermes_obs.Obs
 
 type process = int
 type channel = int
@@ -304,6 +305,7 @@ let repetition_vector t =
   end
 
 let validate t =
+  Obs.span "system.validate" @@ fun () ->
   let ( let* ) r f = Result.bind r f in
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let* () = if process_count t = 0 then fail "system has no process" else Ok () in

@@ -1,5 +1,6 @@
 module Tmg = Ermes_tmg.Tmg
 module Vec = Ermes_digraph.Vec
+module Obs = Ermes_obs.Obs
 
 type owner = Channel of System.channel | Process of System.process
 
@@ -120,6 +121,7 @@ let chain_spec ~channel_entry ~channel_exit ~compute_transition ~repetition sys 
       (stmt_name sj kj, ti, tj, tokens))
 
 let build sys =
+  Obs.span "to_tmg.build" @@ fun () ->
   let q = repetition_vector_exn sys in
   let tmg = Tmg.create () in
   let nch = System.channel_count sys and np = System.process_count sys in

@@ -60,6 +60,7 @@ let arena_words (g : t) =
   + Array.length g.out_adj + Array.length g.in_row + Array.length g.in_adj
 
 let of_tmg tmg =
+  Obs.span "csr.freeze" @@ fun () ->
   let n = Tmg.transition_count tmg and m = Tmg.place_count tmg in
   let g =
     {
