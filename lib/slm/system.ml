@@ -309,6 +309,16 @@ let validate t =
   let ( let* ) r f = Result.bind r f in
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let* () = if process_count t = 0 then fail "system has no process" else Ok () in
+  (* A channel from a process to itself would put both of its statements on
+     one process cycle; the linter's E101 says the same. *)
+  let* () =
+    match List.find_opt (fun c -> channel_src t c = channel_dst t c) (channels t) with
+    | Some c ->
+      fail "channel %S must connect two distinct processes, both ends are %S"
+        (channel_name t c)
+        (process_name t (channel_src t c))
+    | None -> Ok ()
+  in
   let* () =
     if sources t = [] then fail "system has no source process" else Ok ()
   in
