@@ -198,3 +198,237 @@ let permute_orders sys draws =
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* ---- reference System.validate and repetition_vector -------------------- *)
+
+(* The pointer-graph implementations of [System.repetition_vector] and
+   [System.validate] as they stood before both moved onto flat int arrays,
+   kept verbatim apart from reading the process graph through the public
+   [System.graph], plus the self-loop rule. The properties in test_slm
+   check that the flat versions give the same [Ok] and the same [Error]
+   text. *)
+module Ref_system = struct
+  module Digraph = Ermes_digraph.Digraph
+  module Traversal = Ermes_digraph.Traversal
+  open System
+
+  let max_repetition = 4096
+
+  let repetition_vector t =
+    let np = process_count t in
+    if np = 0 then Ok [||]
+    else begin
+      let num = Array.make np 0 and den = Array.make np 1 in
+      let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+      let adj = Array.make np [] in
+      List.iter
+        (fun c ->
+          let produce, consume = channel_rates t c in
+          let s = channel_src t c and d = channel_dst t c in
+          (* q(v) = q(u) * mul / div along the (undirected) hop. *)
+          adj.(s) <- (c, d, produce, consume) :: adj.(s);
+          adj.(d) <- (c, s, consume, produce) :: adj.(d))
+        (channels t);
+      let error = ref None in
+      let fail fmt = Printf.ksprintf (fun s -> error := Some s) fmt in
+      let comps = ref [] in
+      for root = 0 to np - 1 do
+        if num.(root) = 0 && !error = None then begin
+          num.(root) <- 1;
+          den.(root) <- 1;
+          let comp = ref [ root ] in
+          let queue = Queue.create () in
+          Queue.push root queue;
+          while (not (Queue.is_empty queue)) && !error = None do
+            let u = Queue.pop queue in
+            List.iter
+              (fun (c, v, mul, div) ->
+                if !error = None then begin
+                  let n = num.(u) * mul and d = den.(u) * div in
+                  let g = gcd n d in
+                  let n = n / g and d = d / g in
+                  if n > 1 lsl 30 || d > 1 lsl 30 then
+                    fail "rate unfolding too large around channel %s" (channel_name t c)
+                  else if num.(v) = 0 then begin
+                    num.(v) <- n;
+                    den.(v) <- d;
+                    comp := v :: !comp;
+                    Queue.push v queue
+                  end
+                  else if num.(v) * d <> n * den.(v) then
+                    fail
+                      "inconsistent rates: channel %s admits no common period (%s would \
+                       need to fire %d/%d times per period of %s, but %d/%d elsewhere)"
+                      (channel_name t c) (process_name t v) n d (process_name t u)
+                      num.(v) den.(v)
+                end)
+              adj.(u)
+          done;
+          comps := !comp :: !comps
+        end
+      done;
+      match !error with
+      | Some e -> Error e
+      | None ->
+        let q = Array.make np 1 in
+        List.iter
+          (fun comp ->
+            if !error = None then begin
+              let l =
+                List.fold_left
+                  (fun acc p ->
+                    let g = gcd acc den.(p) in
+                    acc / g * den.(p))
+                  1 comp
+              in
+              if l > 1 lsl 30 then
+                fail "rate unfolding too large (no small common period)"
+              else begin
+                let vals = List.map (fun p -> num.(p) * (l / den.(p))) comp in
+                let g = List.fold_left gcd 0 vals in
+                List.iter2
+                  (fun p v ->
+                    let v = v / g in
+                    if v > max_repetition then
+                      fail
+                        "rate unfolding too large: process %s repeats %d times per \
+                         period (max %d)"
+                        (process_name t p) v max_repetition
+                    else q.(p) <- v)
+                  comp vals
+              end
+            end)
+          !comps;
+        (match !error with Some e -> Error e | None -> Ok q)
+    end
+
+  let validate t =
+    let g = graph t in
+    let ( let* ) r f = Result.bind r f in
+    let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
+    let* () = if process_count t = 0 then fail "system has no process" else Ok () in
+    let* () =
+      match List.find_opt (fun c -> channel_src t c = channel_dst t c) (channels t) with
+      | Some c ->
+        fail "channel %S must connect two distinct processes, both ends are %S"
+          (channel_name t c)
+          (process_name t (channel_src t c))
+      | None -> Ok ()
+    in
+    let* () =
+      if sources t = [] then fail "system has no source process" else Ok ()
+    in
+    let* () = if sinks t = [] then fail "system has no sink process" else Ok () in
+    (* Weak connectivity: every process reachable from process 0 ignoring
+       direction. *)
+    let undirected = Digraph.create () in
+    List.iter (fun _ -> ignore (Digraph.add_vertex undirected ())) (processes t);
+    List.iter
+      (fun c ->
+        ignore (Digraph.add_arc undirected ~src:(channel_src t c) ~dst:(channel_dst t c) ());
+        ignore (Digraph.add_arc undirected ~src:(channel_dst t c) ~dst:(channel_src t c) ()))
+      (channels t);
+    let reach = Traversal.reachable ~from:[ 0 ] undirected in
+    let* () =
+      if Array.for_all Fun.id reach then Ok ()
+      else
+        let v = ref 0 in
+        Array.iteri (fun i r -> if not r then v := i) reach;
+        fail "system is not connected (e.g. process %s)" (process_name t !v)
+    in
+    (* Every process on a source-to-sink path. *)
+    let fwd = Traversal.reachable ~from:(sources t) g in
+    let bwd = Traversal.reachable ~from:(sinks t) (Digraph.reverse g) in
+    let bad = ref None in
+    List.iter
+      (fun p -> if !bad = None && not (fwd.(p) && bwd.(p)) then bad := Some p)
+      (processes t);
+    let* () =
+      match !bad with
+      | Some p -> fail "process %s is not on any source-to-sink path" (process_name t p)
+      | None -> Ok ()
+    in
+    (* Multi-rate weights must admit a common period, or no bounded schedule
+       (and no marked-graph unfolding) exists. *)
+    match repetition_vector t with Error m -> Error m | Ok _ -> Ok ()
+end
+
+(* Small systems with one injected defect each: a valid backbone
+   p0 -> p1 -> ... with random forward chords and channel kinds, then
+   (by [defect]) nothing, an island, a cycle back into the source, an arc
+   out of the sink, a process cycle no source reaches, a multi-rate chord
+   that disagrees with the backbone, a self-loop, or a rate chain whose
+   unfolding is too large. Random extra arcs may add further defects, so
+   the first one reported depends on the checks' order. *)
+let defective_system_gen =
+  QCheck2.Gen.(
+    let kind_gen =
+      frequency
+        [
+          (5, return System.Rendezvous);
+          (2, map (fun d -> System.Fifo d) (int_range 1 3));
+          (1, map (fun hold -> System.Handshake { hold }) (int_range 0 2));
+          ( 3,
+            let* produce = int_range 1 3 and* consume = int_range 1 3 in
+            return (System.Multi_rate { produce; consume; depth = max produce consume }) );
+        ]
+    in
+    let* n = int_range 1 7 in
+    let* defect = int_range 0 7 in
+    let* chords = list_size (int_range 0 5) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) in
+    let* noise = list_size (int_range 0 1) (pair (int_range 0 (n + 1)) (int_range 0 (n + 1))) in
+    let* kinds = list_repeat (n + 12) kind_gen in
+    let* at = int_range 0 (n - 1) in
+    return (n, defect, chords, noise, kinds, at))
+
+let build_defective_system (n, defect, chords, noise, kinds, at) =
+  let sys = System.create ~name:"defective" () in
+  (* Processes beyond the backbone exist only once a channel names them. *)
+  let rec proc i =
+    if i < System.process_count sys then i
+    else begin
+      let k = System.process_count sys in
+      ignore (System.add_simple_process sys ~latency:(k mod 4) ~area:0.01 (Printf.sprintf "p%d" k));
+      proc i
+    end
+  in
+  ignore (proc (n - 1));
+  let kinds = Array.of_list kinds in
+  let next = ref 0 in
+  let chan ?kind s d =
+    let c =
+      System.add_channel sys ~name:(Printf.sprintf "c%d" !next) ~src:(proc s) ~dst:(proc d)
+        ~latency:(1 + (!next mod 3))
+    in
+    let k = match kind with Some k -> k | None -> kinds.(!next mod Array.length kinds) in
+    System.set_channel_kind sys c k;
+    incr next
+  in
+  for i = 0 to n - 2 do
+    chan i (i + 1)
+  done;
+  List.iter (fun (a, b) -> if a < b then chan a b) chords;
+  let big = System.Multi_rate { produce = 1; consume = 1024; depth = 1024 } in
+  (match defect with
+   | 1 -> chan n (n + 1)  (* an island: not connected *)
+   | 2 -> chan (n - 1) 0  (* a cycle back into the only source *)
+   | 3 -> chan (n - 1) at  (* the only sink gains an output *)
+   | 4 ->
+     (* A cycle that no source reaches, draining into the backbone. *)
+     chan n (n + 1);
+     chan (n + 1) n;
+     chan n at
+   | 5 ->
+     chan at n ~kind:(System.Multi_rate { produce = 2; consume = 1; depth = 2 });
+     chan at n
+   | 6 -> chan at at  (* a self-loop *)
+   | 7 ->
+     (* 2 to 4 hops that each divide the rate by 1024. *)
+     for h = 0 to 1 + (at mod 3) do
+       chan (n - 1 + h) (n + h) ~kind:big
+     done
+   | _ -> ());
+  List.iter (fun (a, b) -> chan a b) noise;
+  sys
+
+let defective_system_arbitrary = QCheck2.Gen.map build_defective_system defective_system_gen

@@ -848,6 +848,40 @@ let prop_soc_roundtrip =
       | Ok sys' -> Soc_format.print sys' = Soc_format.print sys
       | Error _ -> false)
 
+(* System.validate and repetition_vector give the pointer reference's exact
+   Ok / Error text on systems with injected defects. *)
+let prop_validate_matches_reference =
+  Helpers.qtest ~count:600 "validate and repetition_vector equal the pointer reference"
+    Helpers.defective_system_arbitrary (fun sys ->
+      System.validate sys = Helpers.Ref_system.validate sys
+      && System.repetition_vector sys = Helpers.Ref_system.repetition_vector sys)
+
+(* The defect generator reaches every rule of validate, so the property
+   above compares every error text, not just the first check's. *)
+let test_defects_reach_every_rule () =
+  let rand = Random.State.make [| 19 |] in
+  let verdicts =
+    List.init 600 (fun _ ->
+        match System.validate (QCheck2.Gen.generate1 ~rand Helpers.defective_system_arbitrary) with
+        | Ok () -> "ok"
+        | Error e -> e)
+  in
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool) rule true
+        (List.exists (fun v -> Astring_contains.contains v rule) verdicts))
+    [
+      "ok";
+      "must connect two distinct processes";
+      "system has no source process";
+      "system has no sink process";
+      "system is not connected";
+      "is not on any source-to-sink path";
+      "inconsistent rates";
+      "rate unfolding too large: process";
+      "rate unfolding too large around channel";
+    ]
+
 let () =
   Alcotest.run "slm"
     [
@@ -858,6 +892,7 @@ let () =
           Alcotest.test_case "order validation" `Quick test_system_order_validation;
           Alcotest.test_case "duplicate names" `Quick test_system_duplicate_names;
           Alcotest.test_case "validate failures" `Quick test_system_validate_failures;
+          Alcotest.test_case "defects reach every rule" `Quick test_defects_reach_every_rule;
           Alcotest.test_case "copy independence" `Quick test_system_copy_independent;
         ] );
       ( "motivating-example",
@@ -934,5 +969,6 @@ let () =
           prop_fifo_sim_matches_analysis;
           prop_fifo_mixed_kinds_consistent;
           prop_multirate_chain_consistent;
+          prop_validate_matches_reference;
         ] );
     ]
