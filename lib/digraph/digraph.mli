@@ -2,9 +2,19 @@
 
     Vertices and arcs are identified by dense integer ids assigned in creation
     order; both carry a user payload ("label"). Parallel arcs and self-loops
-    are allowed. Out- and in-arc lists preserve insertion order, which matters
-    for the channel-ordering algorithm: the order of a process's [put]
-    statements is exactly the insertion order of its outgoing arcs. *)
+    are allowed.
+
+    Storage is flat: labels and arc endpoints sit in growable arrays, and the
+    in/out adjacency is a CSR index derived from the endpoints on the first
+    adjacency query after a change (an added vertex or arc, or a rewire).
+    Build first and query after: a caller that alternates additions and
+    adjacency queries rebuilds the index each time. A graph that is no longer
+    mutated may be queried from several domains at once.
+
+    Out- and in-arc lists are in ascending arc id. Until an arc is rewired
+    that is insertion order, which matters for the channel-ordering
+    algorithm: the order of a process's [put] statements is exactly the
+    insertion order of its outgoing arcs. *)
 
 type vertex = int
 type arc = int
@@ -39,25 +49,25 @@ val arc_ends : ('v, 'a) t -> arc -> vertex * vertex
 
 val rewire_arc : ('v, 'a) t -> arc -> src:vertex -> dst:vertex -> unit
 (** [rewire_arc g a ~src ~dst] moves the existing arc [a] between new
-    endpoints, keeping its id and label. The arc leaves its old position in
-    the old endpoints' adjacency lists and is appended at the {e end} of the
-    new ones, so adjacency insertion order reflects rewiring history.
+    endpoints, keeping its id and label. Like every arc, it is listed by its
+    id in the new endpoints' adjacency, so adjacency order never depends on
+    the rewiring history (the CSR analysis core freezes the same order).
     @raise Invalid_argument if the arc or either endpoint does not exist. *)
 
 val out_arcs : ('v, 'a) t -> vertex -> arc list
-(** Outgoing arcs of a vertex, in insertion order. *)
+(** Outgoing arcs of a vertex, in ascending id. *)
 
 val in_arcs : ('v, 'a) t -> vertex -> arc list
-(** Incoming arcs of a vertex, in insertion order. *)
+(** Incoming arcs of a vertex, in ascending id. *)
 
 val out_degree : ('v, 'a) t -> vertex -> int
 val in_degree : ('v, 'a) t -> vertex -> int
 
 val succs : ('v, 'a) t -> vertex -> vertex list
-(** Successor vertices (with multiplicity, insertion order). *)
+(** Successor vertices (with multiplicity, in ascending arc id). *)
 
 val preds : ('v, 'a) t -> vertex -> vertex list
-(** Predecessor vertices (with multiplicity, insertion order). *)
+(** Predecessor vertices (with multiplicity, in ascending arc id). *)
 
 val vertices : ('v, 'a) t -> vertex list
 val arcs : ('v, 'a) t -> arc list
@@ -69,7 +79,7 @@ val fold_vertices : (vertex -> 'acc -> 'acc) -> ('v, 'a) t -> 'acc -> 'acc
 val fold_arcs : (arc -> 'acc -> 'acc) -> ('v, 'a) t -> 'acc -> 'acc
 
 val find_arc : ('v, 'a) t -> src:vertex -> dst:vertex -> arc option
-(** First arc from [src] to [dst] in insertion order, if any. *)
+(** The arc from [src] to [dst] with the smallest id, if any. *)
 
 val map_labels :
   vertex:('v -> 'w) -> arc:('a -> 'b) -> ('v, 'a) t -> ('w, 'b) t

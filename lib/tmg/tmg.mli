@@ -53,13 +53,17 @@ val rewire_place :
     between new endpoint transitions and replaces its marking (and optionally
     its name), keeping its id — the incremental hook for statement-order
     changes, which rewire a process's chain places without rebuilding the
-    net. @raise Invalid_argument if [tokens < 0] or an endpoint is unknown. *)
+    net. The place is then listed by its id among its new endpoints' places,
+    as in a net built fresh with the same places.
+    @raise Invalid_argument if [tokens < 0] or an endpoint is unknown. *)
 
 val in_places : t -> transition -> place list
-(** Places feeding a transition, in insertion order. *)
+(** Places feeding a transition, in ascending id (insertion order until a
+    place is rewired). *)
 
 val out_places : t -> transition -> place list
-(** Places fed by a transition, in insertion order. *)
+(** Places fed by a transition, in ascending id (insertion order until a
+    place is rewired). *)
 
 val transitions : t -> transition list
 val places : t -> place list

@@ -235,6 +235,61 @@ let prop_back_arc_removal_acyclic =
         g;
       match Traversal.topological_sort g' with Ok _ -> true | Error _ -> false)
 
+(* Random scripts of additions, rewires and queries: after every step the
+   adjacency, successors, predecessors, degrees and find_arc agree with a
+   brute-force filter over the arc ids, so the index is rebuilt whenever a
+   change made it stale and rows list arcs in ascending id. *)
+type op = Add_vertex | Add_arc of int * int | Rewire of int * int * int | Query
+
+let op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, return Add_vertex);
+        (4, map2 (fun s d -> Add_arc (s, d)) nat nat);
+        (2, map3 (fun a s d -> Rewire (a, s, d)) nat nat nat);
+        (2, return Query);
+      ])
+
+let adjacency_agrees g =
+  let n = Digraph.vertex_count g and m = Digraph.arc_count g in
+  let ids = List.init m Fun.id in
+  List.for_all
+    (fun v ->
+      let outs = List.filter (fun a -> Digraph.arc_src g a = v) ids in
+      let ins = List.filter (fun a -> Digraph.arc_dst g a = v) ids in
+      Digraph.out_arcs g v = outs
+      && Digraph.in_arcs g v = ins
+      && Digraph.succs g v = List.map (Digraph.arc_dst g) outs
+      && Digraph.preds g v = List.map (Digraph.arc_src g) ins
+      && Digraph.out_degree g v = List.length outs
+      && Digraph.in_degree g v = List.length ins
+      && List.for_all
+           (fun w ->
+             Digraph.find_arc g ~src:v ~dst:w
+             = List.find_opt (fun a -> Digraph.arc_dst g a = w) outs)
+           (List.init n Fun.id))
+    (List.init n Fun.id)
+
+let prop_adjacency_vs_brute =
+  Helpers.qtest ~count:300 "adjacency equals a filter over arc ids under edits"
+    QCheck2.Gen.(list_size (int_range 0 40) op_gen)
+    (fun script ->
+      let g = Digraph.create () in
+      List.for_all
+        (fun op ->
+          let n = Digraph.vertex_count g and m = Digraph.arc_count g in
+          (match op with
+           | Add_vertex -> ignore (Digraph.add_vertex g ())
+           | Add_arc (s, d) ->
+             if n > 0 then ignore (Digraph.add_arc g ~src:(s mod n) ~dst:(d mod n) ())
+           | Rewire (a, s, d) ->
+             if m > 0 then Digraph.rewire_arc g (a mod m) ~src:(s mod n) ~dst:(d mod n)
+           | Query -> ());
+          op <> Query || adjacency_agrees g)
+        script
+      && adjacency_agrees g)
+
 let test_dot () =
   let g = graph 2 [ (0, 1) ] in
   let s =
@@ -276,6 +331,11 @@ let () =
           Alcotest.test_case "condensation" `Quick test_condensation;
         ] );
       ( "property",
-        [ prop_scc_vs_brute; prop_topo_sound; prop_back_arc_removal_acyclic ] );
+        [
+          prop_scc_vs_brute;
+          prop_topo_sound;
+          prop_back_arc_removal_acyclic;
+          prop_adjacency_vs_brute;
+        ] );
       ("dot", [ Alcotest.test_case "escaping" `Quick test_dot ]);
     ]
