@@ -1,5 +1,4 @@
 module Digraph = Ermes_digraph.Digraph
-module Traversal = Ermes_digraph.Traversal
 module Dot = Ermes_digraph.Dot
 module Obs = Ermes_obs.Obs
 
@@ -66,21 +65,23 @@ let kind_suffix = function
 
 type cinfo = { cname : string; clatency : int; mutable ckind : channel_kind }
 
+module Names = Hashtbl.Make (String)
+
 type t = {
   sys_name : string;
   g : (pinfo, cinfo) Digraph.t;
-  by_pname : (string, process) Hashtbl.t;
-  by_cname : (string, channel) Hashtbl.t;
+  by_pname : process Names.t;
+  by_cname : channel Names.t;
 }
 
 let create ?(name = "system") () =
-  { sys_name = name; g = Digraph.create (); by_pname = Hashtbl.create 16; by_cname = Hashtbl.create 16 }
+  { sys_name = name; g = Digraph.create (); by_pname = Names.create 16; by_cname = Names.create 16 }
 
 let name t = t.sys_name
 
 let add_process t ?(phase = Gets_first) ~impls name =
   if impls = [] then invalid_arg "System.add_process: empty implementation set";
-  if Hashtbl.mem t.by_pname name then
+  if Names.mem t.by_pname name then
     invalid_arg (Printf.sprintf "System.add_process: duplicate process %S" name);
   List.iter
     (fun i ->
@@ -98,7 +99,7 @@ let add_process t ?(phase = Gets_first) ~impls name =
         puts = [];
       }
   in
-  Hashtbl.add t.by_pname name p;
+  Names.add t.by_pname name p;
   p
 
 let add_simple_process t ?phase ~latency ~area name =
@@ -107,13 +108,13 @@ let add_simple_process t ?phase ~latency ~area name =
 let phase t p = (Digraph.vertex_label t.g p).pphase
 
 let add_channel t ~name ~src ~dst ~latency =
-  if Hashtbl.mem t.by_cname name then
+  if Names.mem t.by_cname name then
     invalid_arg (Printf.sprintf "System.add_channel: duplicate channel %S" name);
   if latency < 1 then invalid_arg "System.add_channel: latency must be >= 1";
   let c =
     Digraph.add_arc t.g ~src ~dst { cname = name; clatency = latency; ckind = Rendezvous }
   in
-  Hashtbl.add t.by_cname name c;
+  Names.add t.by_cname name c;
   let ps = Digraph.vertex_label t.g src and pd = Digraph.vertex_label t.g dst in
   ps.puts <- ps.puts @ [ c ];
   pd.gets <- pd.gets @ [ c ];
@@ -127,8 +128,8 @@ let channels t = Digraph.arcs t.g
 let process_name t p = (Digraph.vertex_label t.g p).pname
 let channel_name t c = (Digraph.arc_label t.g c).cname
 
-let find_process t name = Hashtbl.find_opt t.by_pname name
-let find_channel t name = Hashtbl.find_opt t.by_cname name
+let find_process t name = Names.find_opt t.by_pname name
+let find_channel t name = Names.find_opt t.by_cname name
 
 let channel_src t c = Digraph.arc_src t.g c
 let channel_dst t c = Digraph.arc_dst t.g c
@@ -177,8 +178,11 @@ let get_order t p = (Digraph.vertex_label t.g p).gets
 let put_order t p = (Digraph.vertex_label t.g p).puts
 
 let check_permutation what current proposed =
-  let sorted = List.sort compare in
-  if sorted current <> sorted proposed then
+  let sorted = List.sort Int.compare in
+  if
+    (not (List.equal Int.equal current proposed))
+    && not (List.equal Int.equal (sorted current) (sorted proposed))
+  then
     invalid_arg (Printf.sprintf "System.%s: not a permutation of the process's channels" what)
 
 let set_get_order t p order =
@@ -191,8 +195,10 @@ let set_put_order t p order =
   check_permutation "set_put_order" info.puts order;
   info.puts <- order
 
-let is_source t p = Digraph.in_degree t.g p = 0
-let is_sink t p = Digraph.out_degree t.g p = 0
+(* The get (put) order lists exactly the process's input (output)
+   channels. *)
+let is_source t p = (Digraph.vertex_label t.g p).gets = []
+let is_sink t p = (Digraph.vertex_label t.g p).puts = []
 let sources t = List.filter (is_source t) (processes t)
 let sinks t = List.filter (is_sink t) (processes t)
 
@@ -208,6 +214,26 @@ let graph t =
 
 let max_repetition = 4096
 
+(* Channel ends as CSR rows over processes, by counting sort of the channel
+   ids: [adj.(row.(v)) .. adj.(row.(v + 1) - 1)] are the [slot]s whose
+   [ends] entry is [v], in ascending slot order. *)
+let rows np ends =
+  let k = Array.length ends in
+  let row = Array.make (np + 1) 0 in
+  Array.iter (fun v -> row.(v + 1) <- row.(v + 1) + 1) ends;
+  for v = 1 to np do
+    row.(v) <- row.(v) + row.(v - 1)
+  done;
+  let cursor = Array.sub row 0 np and adj = Array.make k 0 in
+  for slot = 0 to k - 1 do
+    let v = ends.(slot) in
+    adj.(cursor.(v)) <- slot;
+    cursor.(v) <- cursor.(v) + 1
+  done;
+  (row, adj)
+
+exception Invalid of string
+
 (* Minimal positive integer solution of the SDF balance equations
    q(src)·produce = q(dst)·consume over every channel: the number of firings
    of each process per common period. Unit-rate kinds constrain their
@@ -215,146 +241,180 @@ let max_repetition = 4096
    gets the all-ones vector. Propagates exact rationals over an undirected
    BFS, then scales each weakly-connected component to the least integer
    vector; inconsistent rates (no common period) or a repetition count above
-   [max_repetition] are reported as errors. *)
+   [max_repetition] are reported as errors.
+
+   Channel [c] is two half-edges: [2c] from its source (q(dst) = q(src) ·
+   produce / consume) and [2c + 1] from its destination (the inverse). A
+   process scans its half-edges newest first, components are scaled newest
+   first and each one's members in reverse discovery order. This order
+   decides which error is found first, and so the message; test_slm checks
+   it against a list-based reference. *)
 let repetition_vector t =
-  let np = process_count t in
+  let np = process_count t and nc = channel_count t in
   if np = 0 then Ok [||]
   else begin
+    let mul = Array.make (2 * nc) 1 and div = Array.make (2 * nc) 1 in
+    let ends = Array.make (2 * nc) 0 and other = Array.make (2 * nc) 0 in
+    for c = 0 to nc - 1 do
+      let produce, consume = channel_rates t c in
+      let s = channel_src t c and d = channel_dst t c in
+      ends.(2 * c) <- s;
+      other.(2 * c) <- d;
+      mul.(2 * c) <- produce;
+      div.(2 * c) <- consume;
+      ends.((2 * c) + 1) <- d;
+      other.((2 * c) + 1) <- s;
+      mul.((2 * c) + 1) <- consume;
+      div.((2 * c) + 1) <- produce
+    done;
+    let row, half = rows np ends in
     let num = Array.make np 0 and den = Array.make np 1 in
     let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let adj = Array.make np [] in
-    List.iter
-      (fun c ->
-        let produce, consume = channel_rates t c in
-        let s = channel_src t c and d = channel_dst t c in
-        (* q(v) = q(u) * mul / div along the (undirected) hop. *)
-        adj.(s) <- (c, d, produce, consume) :: adj.(s);
-        adj.(d) <- (c, s, consume, produce) :: adj.(d))
-      (channels t);
-    let error = ref None in
-    let fail fmt = Printf.ksprintf (fun s -> error := Some s) fmt in
-    let comps = ref [] in
-    for root = 0 to np - 1 do
-      if num.(root) = 0 && !error = None then begin
-        num.(root) <- 1;
-        den.(root) <- 1;
-        let comp = ref [ root ] in
-        let queue = Queue.create () in
-        Queue.push root queue;
-        while (not (Queue.is_empty queue)) && !error = None do
-          let u = Queue.pop queue in
-          List.iter
-            (fun (c, v, mul, div) ->
-              if !error = None then begin
-                let n = num.(u) * mul and d = den.(u) * div in
-                let g = gcd n d in
-                let n = n / g and d = d / g in
-                if n > 1 lsl 30 || d > 1 lsl 30 then
-                  fail "rate unfolding too large around channel %s" (channel_name t c)
-                else if num.(v) = 0 then begin
-                  num.(v) <- n;
-                  den.(v) <- d;
-                  comp := v :: !comp;
-                  Queue.push v queue
-                end
-                else if num.(v) * d <> n * den.(v) then
-                  fail
-                    "inconsistent rates: channel %s admits no common period (%s would \
-                     need to fire %d/%d times per period of %s, but %d/%d elsewhere)"
-                    (channel_name t c) (process_name t v) n d (process_name t u)
-                    num.(v) den.(v)
-              end)
-            adj.(u)
-        done;
-        comps := !comp :: !comps
-      end
-    done;
-    match !error with
-    | Some e -> Error e
-    | None ->
+    let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt in
+    (* [order] is the BFS queue and, once drained, every component's members
+       in discovery order; component [k] starts at [starts.(k)]. *)
+    let order = Array.make np 0 and starts = Array.make (np + 1) 0 in
+    let tail = ref 0 and comps = ref 0 in
+    match
+      for root = 0 to np - 1 do
+        if num.(root) = 0 then begin
+          num.(root) <- 1;
+          den.(root) <- 1;
+          starts.(!comps) <- !tail;
+          incr comps;
+          order.(!tail) <- root;
+          incr tail;
+          let head = ref (!tail - 1) in
+          while !head < !tail do
+            let u = order.(!head) in
+            incr head;
+            for k = row.(u + 1) - 1 downto row.(u) do
+              let h = half.(k) in
+              let v = other.(h) in
+              let n = num.(u) * mul.(h) and d = den.(u) * div.(h) in
+              let g = gcd n d in
+              let n = n / g and d = d / g in
+              if n > 1 lsl 30 || d > 1 lsl 30 then
+                fail "rate unfolding too large around channel %s" (channel_name t (h / 2))
+              else if num.(v) = 0 then begin
+                num.(v) <- n;
+                den.(v) <- d;
+                order.(!tail) <- v;
+                incr tail
+              end
+              else if num.(v) * d <> n * den.(v) then
+                fail
+                  "inconsistent rates: channel %s admits no common period (%s would \
+                   need to fire %d/%d times per period of %s, but %d/%d elsewhere)"
+                  (channel_name t (h / 2)) (process_name t v) n d (process_name t u)
+                  num.(v) den.(v)
+            done
+          done
+        end
+      done;
+      starts.(!comps) <- np;
       let q = Array.make np 1 in
-      List.iter
-        (fun comp ->
-          if !error = None then begin
-            let l =
-              List.fold_left
-                (fun acc p ->
-                  let g = gcd acc den.(p) in
-                  acc / g * den.(p))
-                1 comp
-            in
-            if l > 1 lsl 30 then
-              fail "rate unfolding too large (no small common period)"
-            else begin
-              let vals = List.map (fun p -> num.(p) * (l / den.(p))) comp in
-              let g = List.fold_left gcd 0 vals in
-              List.iter2
-                (fun p v ->
-                  let v = v / g in
-                  if v > max_repetition then
-                    fail
-                      "rate unfolding too large: process %s repeats %d times per \
-                       period (max %d)"
-                      (process_name t p) v max_repetition
-                  else q.(p) <- v)
-                comp vals
-            end
-          end)
-        !comps;
-      (match !error with Some e -> Error e | None -> Ok q)
+      for k = !comps - 1 downto 0 do
+        let lo = starts.(k) and hi = starts.(k + 1) - 1 in
+        let l = ref 1 in
+        for i = hi downto lo do
+          let p = order.(i) in
+          let g = gcd !l den.(p) in
+          l := !l / g * den.(p)
+        done;
+        if !l > 1 lsl 30 then fail "rate unfolding too large (no small common period)";
+        let g = ref 0 in
+        for i = hi downto lo do
+          let p = order.(i) in
+          g := gcd !g (num.(p) * (!l / den.(p)))
+        done;
+        (* Every member is checked; the last one found over the bound (in
+           this scan order) is the one reported. *)
+        let error = ref None in
+        for i = hi downto lo do
+          let p = order.(i) in
+          let v = num.(p) * (!l / den.(p)) / !g in
+          if v > max_repetition then
+            error :=
+              Some
+                (Printf.sprintf
+                   "rate unfolding too large: process %s repeats %d times per period \
+                    (max %d)"
+                   (process_name t p) v max_repetition)
+          else q.(p) <- v
+        done;
+        Option.iter (fun e -> raise (Invalid e)) !error
+      done;
+      q
+    with
+    | q -> Ok q
+    | exception Invalid e -> Error e
   end
+
+(* Every process reached from [roots] along the [row]/[adj] rows, where
+   [adj] holds channel ids and [next] maps a channel to the process it
+   leads to. *)
+let reach np roots row adj next =
+  let seen = Array.make np false and stack = Array.make np 0 in
+  let sp = ref 0 in
+  let visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      stack.(!sp) <- v;
+      incr sp
+    end
+  in
+  List.iter visit roots;
+  while !sp > 0 do
+    decr sp;
+    let u = stack.(!sp) in
+    for k = row.(u) to row.(u + 1) - 1 do
+      visit next.(adj.(k))
+    done
+  done;
+  seen
 
 let validate t =
   Obs.span "system.validate" @@ fun () ->
-  let ( let* ) r f = Result.bind r f in
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let* () = if process_count t = 0 then fail "system has no process" else Ok () in
-  (* A channel from a process to itself would put both of its statements on
-     one process cycle; the linter's E101 says the same. *)
-  let* () =
-    match List.find_opt (fun c -> channel_src t c = channel_dst t c) (channels t) with
-    | Some c ->
-      fail "channel %S must connect two distinct processes, both ends are %S"
-        (channel_name t c)
-        (process_name t (channel_src t c))
-    | None -> Ok ()
-  in
-  let* () =
-    if sources t = [] then fail "system has no source process" else Ok ()
-  in
-  let* () = if sinks t = [] then fail "system has no sink process" else Ok () in
-  (* Weak connectivity: every process reachable from process 0 ignoring
-     direction. *)
-  let undirected = Digraph.create () in
-  List.iter (fun _ -> ignore (Digraph.add_vertex undirected ())) (processes t);
-  List.iter
-    (fun c ->
-      ignore (Digraph.add_arc undirected ~src:(channel_src t c) ~dst:(channel_dst t c) ());
-      ignore (Digraph.add_arc undirected ~src:(channel_dst t c) ~dst:(channel_src t c) ()))
-    (channels t);
-  let reach = Traversal.reachable ~from:[ 0 ] undirected in
-  let* () =
-    if Array.for_all Fun.id reach then Ok ()
-    else
-      let v = ref 0 in
-      Array.iteri (fun i r -> if not r then v := i) reach;
-      fail "system is not connected (e.g. process %s)" (process_name t !v)
-  in
-  (* Every process on a source-to-sink path. *)
-  let fwd = Traversal.reachable ~from:(sources t) t.g in
-  let bwd = Traversal.reachable ~from:(sinks t) (Digraph.reverse t.g) in
-  let bad = ref None in
-  List.iter
-    (fun p -> if !bad = None && not (fwd.(p) && bwd.(p)) then bad := Some p)
-    (processes t);
-  let* () =
-    match !bad with
-    | Some p -> fail "process %s is not on any source-to-sink path" (process_name t p)
-    | None -> Ok ()
-  in
-  (* Multi-rate weights must admit a common period, or no bounded schedule
-     (and no marked-graph unfolding) exists. *)
-  match repetition_vector t with Error m -> Error m | Ok _ -> Ok ()
+  let np = process_count t and nc = channel_count t in
+  let src = Array.init nc (channel_src t) and dst = Array.init nc (channel_dst t) in
+  let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt in
+  match
+    if np = 0 then fail "system has no process";
+    (* A channel from a process to itself would put both of its statements
+       on one process cycle; the linter's E101 says the same. *)
+    for c = 0 to nc - 1 do
+      if src.(c) = dst.(c) then
+        fail "channel %S must connect two distinct processes, both ends are %S"
+          (channel_name t c) (process_name t src.(c))
+    done;
+    let out_row, out_adj = rows np src and in_row, in_adj = rows np dst in
+    let sources = List.filter (fun p -> in_row.(p) = in_row.(p + 1)) (processes t) in
+    let sinks = List.filter (fun p -> out_row.(p) = out_row.(p + 1)) (processes t) in
+    if sources = [] then fail "system has no source process";
+    if sinks = [] then fail "system has no sink process";
+    (* Weak connectivity: every process reachable from process 0 ignoring
+       direction. *)
+    let both_row, both_adj = rows np (Array.append src dst) in
+    let across = Array.append dst src in
+    let connected = reach np [ 0 ] both_row both_adj across in
+    for p = np - 1 downto 0 do
+      if not connected.(p) then
+        fail "system is not connected (e.g. process %s)" (process_name t p)
+    done;
+    (* Every process on a source-to-sink path. *)
+    let fwd = reach np sources out_row out_adj dst in
+    let bwd = reach np sinks in_row in_adj src in
+    for p = 0 to np - 1 do
+      if not (fwd.(p) && bwd.(p)) then
+        fail "process %s is not on any source-to-sink path" (process_name t p)
+    done
+  with
+  | () -> (
+    (* Multi-rate weights must admit a common period, or no bounded
+       schedule (and no marked-graph unfolding) exists. *)
+    match repetition_vector t with Error m -> Error m | Ok _ -> Ok ())
+  | exception Invalid e -> Error e
 
 let copy t =
   let t' = create ~name:t.sys_name () in
