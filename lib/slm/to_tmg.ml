@@ -27,7 +27,7 @@ let repetition_vector_exn sys =
    unit unfolding keeps the plain name, so unit-rate systems build nets
    bit-identical (ids and names) to the historical single-instance
    translation. *)
-let inst base n i = if n = 1 then base else Printf.sprintf "%s#%d" base i
+let inst base n i = if n = 1 then base else String.concat "#" [ base; string_of_int i ]
 
 let ceil_div a b = if a >= 0 then (a + b - 1) / b else -(-a / b)
 
@@ -66,59 +66,41 @@ let buffered_gadget ~produce ~consume ~depth ~qs ~qd =
    its gets/compute/puts sequence q times into the one cycle — the k-th
    occurrence of a channel statement attaches to the channel's k-th
    transition instance — still with a single token (the process is serial).
-   Shared between [build] (which creates the places) and [rethread] (which
-   rewires them in place after an order change). *)
-let chain_spec ~channel_entry ~channel_exit ~compute_transition ~repetition sys p =
-  let gets = List.map (fun c -> `Get c) (System.get_order sys p) in
-  let puts = List.map (fun c -> `Put c) (System.put_order sys p) in
-  let base =
-    match System.phase sys p with
-    | System.Gets_first -> gets @ (`Compute :: puts)
-    | System.Puts_first -> puts @ (`Compute :: gets)
-  in
-  let q = repetition.(p) in
-  let counters = Hashtbl.create 8 in
-  let next key =
-    let k = Option.value ~default:0 (Hashtbl.find_opt counters key) in
-    Hashtbl.replace counters key (k + 1);
-    k
-  in
-  let stmts =
-    List.concat_map
-      (fun k ->
-        List.map
-          (fun s ->
-            match s with
-            | `Get c -> (s, k, channel_exit.(c).(next (`C c)))
-            | `Put c -> (s, k, channel_entry.(c).(next (`C c)))
-            | `Compute -> (s, k, compute_transition.(p).(next `L)))
-          base)
-      (List.init q Fun.id)
-  in
+   Each statement of the base sequence is its transition instances and its
+   name; a channel occurs once in the sequence ([System.validate] rejects a
+   channel from a process to itself), so copy [k] uses instance [k]. [place]
+   receives each place's index, name, endpoints and marking. Shared between
+   [build] (which creates the places) and [rethread] (which rewires them in
+   place after an order change). *)
+let chain_length sys repetition p =
+  (List.length (System.get_order sys p) + 1 + List.length (System.put_order sys p))
+  * repetition.(p)
+
+let iter_chain ~channel_entry ~channel_exit ~compute_transition ~repetition sys p place =
   let pname = System.process_name sys p in
-  let stmt_name s k =
-    let base =
-      match s with
-      | `Get c -> Printf.sprintf "get_%s_%s" pname (System.channel_name sys c)
-      | `Put c -> Printf.sprintf "put_%s_%s" pname (System.channel_name sys c)
-      | `Compute -> Printf.sprintf "comp_%s" pname
-    in
-    inst base q k
+  let gets = System.get_order sys p and puts = System.put_order sys p in
+  let io prefix instances c =
+    (instances.(c), String.concat "_" [ prefix; pname; System.channel_name sys c ])
   in
-  let first_io_index =
-    List.mapi (fun i (s, _, _) -> (i, s)) stmts
-    |> List.find_opt (fun (_, s) ->
-           match s with `Put _ | `Get _ -> true | `Compute -> false)
-    |> Option.map fst
+  let gets = List.map (io "get" channel_exit) gets in
+  let puts = List.map (io "put" channel_entry) puts in
+  let compute = (compute_transition.(p), "comp_" ^ pname) in
+  let base, first_io =
+    match System.phase sys p with
+    | System.Gets_first -> (gets @ (compute :: puts), if gets <> [] then 0 else 1)
+    | System.Puts_first -> (puts @ (compute :: gets), if puts <> [] then 0 else 1)
   in
-  let n = List.length stmts in
-  let arr = Array.of_list stmts in
-  Array.init n (fun i ->
-      let j = (i + 1) mod n in
-      let sj, kj, tj = arr.(j) in
-      let _, _, ti = arr.(i) in
-      let tokens = if Some j = first_io_index then 1 else 0 in
-      (stmt_name sj kj, ti, tj, tokens))
+  let base = Array.of_list base in
+  let b = Array.length base and q = repetition.(p) in
+  (* Without a channel the only statement is the compute: no token. *)
+  let first_io = if b = 1 then -1 else first_io in
+  let n = b * q in
+  let transition j = (fst base.(j mod b)).(j / b) in
+  for i = 0 to n - 1 do
+    let j = if i = n - 1 then 0 else i + 1 in
+    place i (inst (snd base.(j mod b)) q (j / b)) (transition i) (transition j)
+      (if j = first_io then 1 else 0)
+  done
 
 let build sys =
   Obs.span "to_tmg.build" @@ fun () ->
@@ -235,19 +217,15 @@ let build sys =
      would be rejected by [System.validate]; it is threaded token-free
      defensively. Puts attach to the channel's producer-side transition
      instances and gets to its consumer side, in occurrence order. *)
-  let thread_process p =
-    let spec =
-      chain_spec ~channel_entry ~channel_exit ~compute_transition ~repetition sys p
-    in
-    chain_places.(p) <-
-      Array.map
-        (fun (name, src, dst, tokens) ->
-          let place = Tmg.add_place tmg ~name ~src ~dst ~tokens () in
-          if tokens = 1 then initial_place.(p) <- Some place;
-          place)
-        spec
-  in
-  List.iter thread_process (System.processes sys);
+  for p = 0 to np - 1 do
+    let chain = Array.make (chain_length sys repetition p) 0 in
+    iter_chain ~channel_entry ~channel_exit ~compute_transition ~repetition sys p
+      (fun i name src dst tokens ->
+        let place = Tmg.add_place tmg ~name ~src ~dst ~tokens () in
+        if tokens = 1 then initial_place.(p) <- Some place;
+        chain.(i) <- place);
+    chain_places.(p) <- chain
+  done;
   {
     tmg;
     channel_entry;
@@ -263,17 +241,13 @@ let build sys =
   }
 
 let rethread mapping sys p =
-  let spec =
-    chain_spec ~channel_entry:mapping.channel_entry ~channel_exit:mapping.channel_exit
-      ~compute_transition:mapping.compute_transition ~repetition:mapping.repetition sys
-      p
-  in
   let chain = mapping.chain_places.(p) in
-  if Array.length spec <> Array.length chain then
+  if chain_length sys mapping.repetition p <> Array.length chain then
     invalid_arg "To_tmg.rethread: statement count changed (rebuild required)";
   let tmg = mapping.tmg in
-  Array.iteri
-    (fun i (name, src, dst, tokens) ->
+  iter_chain ~channel_entry:mapping.channel_entry ~channel_exit:mapping.channel_exit
+    ~compute_transition:mapping.compute_transition ~repetition:mapping.repetition sys p
+    (fun i name src dst tokens ->
       let place = chain.(i) in
       if
         Tmg.place_src tmg place <> src
@@ -282,7 +256,6 @@ let rethread mapping sys p =
         || not (String.equal (Tmg.place_name tmg place) name)
       then Tmg.rewire_place tmg place ~name ~src ~dst ~tokens ();
       if tokens = 1 then mapping.initial_place.(p) <- Some place)
-    spec
 
 (* A depth-only edit on a buffered channel moves tokens on (and possibly the
    sources of) its credit places. When every recomputed credit place keeps
