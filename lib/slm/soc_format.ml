@@ -18,31 +18,49 @@ let default_limits () =
     max_token = env_limit "ERMES_MAX_SOC_TOKEN" builtin_limits.max_token;
   }
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
+let is_sep ch = ch = ' ' || ch = '\t'
 
-(* Tokens paired with their 1-based start column, so errors can point at the
-   offending token rather than just its line. *)
-let tokens line =
-  let line = strip_comment line in
-  let n = String.length line in
-  let is_sep ch = ch = ' ' || ch = '\t' in
-  let rec scan i acc =
-    if i >= n then List.rev acc
-    else if is_sep line.[i] then scan (i + 1) acc
+(* Directive keywords (and the generator's usual implementation tag) come
+   back as these shared strings, so a token is copied out of the text only
+   when it is a name or a number. *)
+let keywords =
+  [|
+    "system"; "process"; "puts_first"; "impl"; "only"; "latency"; "area"; "select";
+    "channel"; "fifo"; "rate"; "handshake"; "gets"; "puts";
+  |]
+
+let rec same text i kw c =
+  c = String.length kw || (Char.equal kw.[c] text.[i + c] && same text i kw (c + 1))
+
+let rec intern text i len k =
+  if k = Array.length keywords then String.sub text i len
+  else
+    let kw = keywords.(k) in
+    if String.length kw = len && same text i kw 0 then kw else intern text i len (k + 1)
+
+(* The tokens of the line [text.[start .. stop - 1]], up to a [#] comment,
+   each paired with its 1-based start column, so errors can point at the
+   offending token rather than just its line. The line is scanned in place,
+   right to left, so the list comes out in order. *)
+let line_tokens text start stop =
+  let stop =
+    let rec comment k = if k = stop || text.[k] = '#' then k else comment (k + 1) in
+    comment start
+  in
+  let rec scan j acc =
+    if j <= start then acc
+    else if is_sep text.[j - 1] then scan (j - 1) acc
     else begin
-      let j = ref i in
-      while !j < n && not (is_sep line.[!j]) do
-        incr j
+      let i = ref (j - 1) in
+      while !i > start && not (is_sep text.[!i - 1]) do
+        decr i
       done;
-      scan !j ((String.sub line i (!j - i), i + 1) :: acc)
+      scan !i ((intern text !i (j - !i) 0, !i - start + 1) :: acc)
     end
   in
-  scan 0 []
+  scan stop []
 
-let tokenize = tokens
+let tokenize line = line_tokens line 0 (String.length line)
 
 exception Parse_error of int * string  (* column, message *)
 
@@ -136,7 +154,6 @@ let parse ?limits text =
   match check_size limits text with
   | Error e -> Error e
   | Ok () ->
-  let lines = String.split_on_char '\n' text in
   let sys = ref None in
   (* Whether a real [system] directive was seen ([sys] may hold a placeholder
      installed after an error, so that the remaining directives can still be
@@ -211,16 +228,20 @@ let parse ?limits text =
     | (tok, col) :: _ -> fail col "unknown directive %S" tok
   in
   let errors = ref [] in
-  List.iteri
-    (fun i line ->
-      match handle (check_tokens limits (tokens line)) with
-      | () -> ()
-      | exception Parse_error (col, msg) ->
-        errors := Printf.sprintf "line %d, col %d: %s" (i + 1) col msg :: !errors;
-        (* Install a placeholder so the remaining lines can still be checked
-           when the description never opened a system. *)
-        if !sys = None then sys := Some (System.create ~name:"(invalid)" ()))
-    lines;
+  let len = String.length text in
+  (* Line by line, in place: [start] is where line [lineno] begins. *)
+  let rec lines start lineno =
+    let stop = Option.value ~default:len (String.index_from_opt text start '\n') in
+    (match handle (check_tokens limits (line_tokens text start stop)) with
+     | () -> ()
+     | exception Parse_error (col, msg) ->
+       errors := Printf.sprintf "line %d, col %d: %s" lineno col msg :: !errors;
+       (* Install a placeholder so the remaining lines can still be checked
+          when the description never opened a system. *)
+       if !sys = None then sys := Some (System.create ~name:"(invalid)" ()));
+    if stop < len then lines (stop + 1) (lineno + 1)
+  in
+  lines 0 1;
   match (List.rev !errors, !sys) with
   | [], Some s when !declared -> Ok s
   | [], _ -> Error "empty description: missing 'system NAME'"
