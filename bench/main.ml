@@ -1053,9 +1053,13 @@ let scale () =
     (fun (label, side, expected) ->
       let sys = Generate.mesh_system ~seed:1 ~rows:side ~cols:side () in
       let tmg = (To_tmg.build sys).To_tmg.tmg in
+      let words = Obj.reachable_words (Obj.repr tmg) in
       let t_cold, _, _, nps, _ = scale_row "mesh" label tmg (Ratio.make expected 1) in
       metric (Printf.sprintf "scale.mesh.cold_s.%s" label) t_cold;
-      metric (Printf.sprintf "scale.mesh.nodes_per_sec.%s" label) nps)
+      metric (Printf.sprintf "scale.mesh.nodes_per_sec.%s" label) nps;
+      metric
+        (Printf.sprintf "scale.mesh.tmg_words_per_transition.%s" label)
+        (float_of_int words /. float_of_int (Tmg.transition_count tmg)))
     [ ("1e4", 58, 858); ("1e5", 180, 2651) ];
   (* The acyclic and hierarchical families at 10^5, as verdict coverage: the
      grid exercises the No_cycle/Acyclic path (Kahn at scale), the clusters

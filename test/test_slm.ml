@@ -195,6 +195,16 @@ let test_to_tmg_owner_mapping () =
       | To_tmg.Channel _ -> Alcotest.fail "misclassified process")
     (System.processes sys)
 
+(* The net of a mesh SoC is held in flat arrays: at most 30 words per
+   transition, labels and names included (a record and two adjacency
+   vectors per transition took 56). *)
+let test_to_tmg_words_per_transition () =
+  let sys = Ermes_synth.Generate.mesh_system ~seed:1 ~rows:40 ~cols:40 () in
+  let tmg = (To_tmg.build sys).To_tmg.tmg in
+  let words = Obj.reachable_words (Obj.repr tmg) in
+  let per = float_of_int words /. float_of_int (Tmg.transition_count tmg) in
+  if per > 30. then Alcotest.failf "%.1f words per transition" per
+
 let test_puts_first_breaks_two_cycle () =
   (* A pure producer/consumer feedback pair deadlocks with Gets_first but is
      live when the register side is Puts_first. *)
@@ -906,6 +916,7 @@ let () =
           Alcotest.test_case "shape" `Quick test_to_tmg_shape;
           Alcotest.test_case "marked-graph invariant" `Quick test_to_tmg_marked_graph_invariant;
           Alcotest.test_case "owner mapping" `Quick test_to_tmg_owner_mapping;
+          Alcotest.test_case "words per transition" `Quick test_to_tmg_words_per_transition;
           Alcotest.test_case "puts-first register" `Quick test_puts_first_breaks_two_cycle;
         ] );
       ( "fsm",
