@@ -1,55 +1,57 @@
 module Digraph = Ermes_digraph.Digraph
 module Scc = Ermes_digraph.Scc
 module Dot = Ermes_digraph.Dot
+module Vec = Ermes_digraph.Vec
 
 type transition = Digraph.vertex
 type place = Digraph.arc
 
-type trans_info = { tname : string; mutable tdelay : int }
-type place_info = { mutable pname : string; mutable ptokens : int }
+(* Names are the graph's labels; delays and markings sit in flat int
+   arrays beside it, indexed by transition and place id. *)
+type t = { g : (string, string) Digraph.t; delays : int Vec.t; marking : int Vec.t }
 
-type t = { g : (trans_info, place_info) Digraph.t }
-
-let create () = { g = Digraph.create () }
+let create () = { g = Digraph.create (); delays = Vec.create (); marking = Vec.create () }
 
 let add_transition tmg ?name ~delay () =
   if delay < 0 then invalid_arg "Tmg.add_transition: negative delay";
   let id = Digraph.vertex_count tmg.g in
   let tname = match name with Some n -> n | None -> Printf.sprintf "t%d" id in
-  Digraph.add_vertex tmg.g { tname; tdelay = delay }
+  ignore (Vec.push tmg.delays delay);
+  Digraph.add_vertex tmg.g tname
 
 let add_place tmg ?name ~src ~dst ~tokens () =
   if tokens < 0 then invalid_arg "Tmg.add_place: negative marking";
   let id = Digraph.arc_count tmg.g in
   let pname = match name with Some n -> n | None -> Printf.sprintf "p%d" id in
-  Digraph.add_arc tmg.g ~src ~dst { pname; ptokens = tokens }
+  let p = Digraph.add_arc tmg.g ~src ~dst pname in
+  ignore (Vec.push tmg.marking tokens);
+  p
 
 let transition_count tmg = Digraph.vertex_count tmg.g
 let place_count tmg = Digraph.arc_count tmg.g
 
-let delay tmg t = (Digraph.vertex_label tmg.g t).tdelay
-let transition_name tmg t = (Digraph.vertex_label tmg.g t).tname
+let delay tmg t = Vec.get tmg.delays t
+let transition_name tmg t = Digraph.vertex_label tmg.g t
 
 let set_delay tmg t d =
   if d < 0 then invalid_arg "Tmg.set_delay: negative delay";
-  (Digraph.vertex_label tmg.g t).tdelay <- d
+  Vec.set tmg.delays t d
 
-let tokens tmg p = (Digraph.arc_label tmg.g p).ptokens
+let tokens tmg p = Vec.get tmg.marking p
 
 let set_tokens tmg p n =
   if n < 0 then invalid_arg "Tmg.set_tokens: negative marking";
-  (Digraph.arc_label tmg.g p).ptokens <- n
+  Vec.set tmg.marking p n
 
-let place_name tmg p = (Digraph.arc_label tmg.g p).pname
+let place_name tmg p = Digraph.arc_label tmg.g p
 let place_src tmg p = Digraph.arc_src tmg.g p
 let place_dst tmg p = Digraph.arc_dst tmg.g p
 
 let rewire_place tmg p ?name ~src ~dst ~tokens () =
   if tokens < 0 then invalid_arg "Tmg.rewire_place: negative marking";
   Digraph.rewire_arc tmg.g p ~src ~dst;
-  let info = Digraph.arc_label tmg.g p in
-  (match name with Some n -> info.pname <- n | None -> ());
-  info.ptokens <- tokens
+  Option.iter (Digraph.set_arc_label tmg.g p) name;
+  Vec.set tmg.marking p tokens
 
 let in_places tmg t = Digraph.in_arcs tmg.g t
 let out_places tmg t = Digraph.out_arcs tmg.g t
@@ -65,10 +67,16 @@ let cycle_ratio tmg ps =
   if toks = 0 then None else Some (Ratio.make (cycle_delay tmg ps) toks)
 
 let graph tmg =
-  Digraph.map_labels
-    ~vertex:(fun { tname; tdelay } -> (tname, tdelay))
-    ~arc:(fun { pname; ptokens } -> (pname, ptokens))
-    tmg.g
+  let g = Digraph.create () in
+  for t = 0 to transition_count tmg - 1 do
+    ignore (Digraph.add_vertex g (transition_name tmg t, delay tmg t))
+  done;
+  for p = 0 to place_count tmg - 1 do
+    ignore
+      (Digraph.add_arc g ~src:(place_src tmg p) ~dst:(place_dst tmg p)
+         (place_name tmg p, tokens tmg p))
+  done;
+  g
 
 let is_strongly_connected tmg = Scc.is_strongly_connected tmg.g
 
