@@ -23,20 +23,29 @@ let is_sep ch = ch = ' ' || ch = '\t'
 (* Directive keywords (and the generator's usual implementation tag) come
    back as these shared strings, so a token is copied out of the text only
    when it is a name or a number. *)
-let keywords =
-  [|
-    "system"; "process"; "puts_first"; "impl"; "only"; "latency"; "area"; "select";
-    "channel"; "fifo"; "rate"; "handshake"; "gets"; "puts";
-  |]
-
 let rec same text i kw c =
   c = String.length kw || (Char.equal kw.[c] text.[i + c] && same text i kw (c + 1))
 
-let rec intern text i len k =
-  if k = Array.length keywords then String.sub text i len
-  else
-    let kw = keywords.(k) in
-    if String.length kw = len && same text i kw 0 then kw else intern text i len (k + 1)
+let is text i len kw = String.length kw = len && same text i kw 0
+
+let token text i len =
+  let pick kw = if is text i len kw then kw else String.sub text i len in
+  match text.[i] with
+  | 'a' -> pick "area"
+  | 'c' -> pick "channel"
+  | 'f' -> pick "fifo"
+  | 'g' -> pick "gets"
+  | 'h' -> pick "handshake"
+  | 'i' -> pick "impl"
+  | 'l' -> pick "latency"
+  | 'o' -> pick "only"
+  | 'p' ->
+    if is text i len "process" then "process"
+    else if is text i len "puts" then "puts"
+    else pick "puts_first"
+  | 'r' -> pick "rate"
+  | 's' -> if is text i len "system" then "system" else pick "select"
+  | _ -> String.sub text i len
 
 (* The tokens of the line [text.[start .. stop - 1]], up to a [#] comment,
    each paired with its 1-based start column, so errors can point at the
@@ -55,7 +64,7 @@ let line_tokens text start stop =
       while !i > start && not (is_sep text.[!i - 1]) do
         decr i
       done;
-      scan !i ((intern text !i (j - !i) 0, !i - start + 1) :: acc)
+      scan !i ((token text !i (j - !i), !i - start + 1) :: acc)
     end
   in
   scan stop []
