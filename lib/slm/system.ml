@@ -245,10 +245,9 @@ exception Invalid of string
 
    Channel [c] is two half-edges: [2c] from its source (q(dst) = q(src) ·
    produce / consume) and [2c + 1] from its destination (the inverse). A
-   process scans its half-edges newest first, components are scaled newest
-   first and each one's members in reverse discovery order. This order
-   decides which error is found first, and so the message; test_slm checks
-   it against a list-based reference. *)
+   process scans its half-edges newest first and components are scaled
+   newest first. This order decides which error is found first, and so the
+   message; test_slm checks it against a list-based reference. *)
 let repetition_vector t =
   let np = process_count t and nc = channel_count t in
   if np = 0 then Ok [||]
@@ -316,6 +315,8 @@ let repetition_vector t =
       let q = Array.make np 1 in
       for k = !comps - 1 downto 0 do
         let lo = starts.(k) and hi = starts.(k + 1) - 1 in
+        (* Newest member first, as the list-based reference folds, so even
+           an lcm that overflows comes out the same. *)
         let l = ref 1 in
         for i = hi downto lo do
           let p = order.(i) in
@@ -324,26 +325,18 @@ let repetition_vector t =
         done;
         if !l > 1 lsl 30 then fail "rate unfolding too large (no small common period)";
         let g = ref 0 in
-        for i = hi downto lo do
+        for i = lo to hi do
           let p = order.(i) in
           g := gcd !g (num.(p) * (!l / den.(p)))
         done;
-        (* Every member is checked; the last one found over the bound (in
-           this scan order) is the one reported. *)
-        let error = ref None in
-        for i = hi downto lo do
+        for i = lo to hi do
           let p = order.(i) in
           let v = num.(p) * (!l / den.(p)) / !g in
           if v > max_repetition then
-            error :=
-              Some
-                (Printf.sprintf
-                   "rate unfolding too large: process %s repeats %d times per period \
-                    (max %d)"
-                   (process_name t p) v max_repetition)
-          else q.(p) <- v
-        done;
-        Option.iter (fun e -> raise (Invalid e)) !error
+            fail "rate unfolding too large: process %s repeats %d times per period (max %d)"
+              (process_name t p) v max_repetition;
+          q.(p) <- v
+        done
       done;
       q
     with
@@ -388,9 +381,7 @@ let validate t =
         fail "channel %S must connect two distinct processes, both ends are %S"
           (channel_name t c) (process_name t src.(c))
     done;
-    let out_row, out_adj = rows np src and in_row, in_adj = rows np dst in
-    let sources = List.filter (fun p -> in_row.(p) = in_row.(p + 1)) (processes t) in
-    let sinks = List.filter (fun p -> out_row.(p) = out_row.(p + 1)) (processes t) in
+    let sources = sources t and sinks = sinks t in
     if sources = [] then fail "system has no source process";
     if sinks = [] then fail "system has no sink process";
     (* Weak connectivity: every process reachable from process 0 ignoring
@@ -403,6 +394,7 @@ let validate t =
         fail "system is not connected (e.g. process %s)" (process_name t p)
     done;
     (* Every process on a source-to-sink path. *)
+    let out_row, out_adj = rows np src and in_row, in_adj = rows np dst in
     let fwd = reach np sources out_row out_adj dst in
     let bwd = reach np sinks in_row in_adj src in
     for p = 0 to np - 1 do
