@@ -86,8 +86,9 @@ val cycle_ratio : t -> place list -> Ratio.t option
     infinite: the cycle can never fire — deadlock). *)
 
 val graph : t -> (string * int, string * int) Ermes_digraph.Digraph.t
-(** The underlying multigraph: vertex label = (name, delay), arc label =
-    (name, tokens). Shared structure — mutating the result is not allowed. *)
+(** A copy of the net as a multigraph with the same ids: vertex label =
+    (name, delay), arc label = (name, tokens). Mutating it leaves the net
+    unchanged. *)
 
 val is_strongly_connected : t -> bool
 
