@@ -196,8 +196,7 @@ let test_to_tmg_owner_mapping () =
     (System.processes sys)
 
 (* The net of a mesh SoC is held in flat arrays: at most 30 words per
-   transition, labels and names included (a record and two adjacency
-   vectors per transition took 56). *)
+   transition, labels and names included. *)
 let test_to_tmg_words_per_transition () =
   let sys = Ermes_synth.Generate.mesh_system ~seed:1 ~rows:40 ~cols:40 () in
   let tmg = (To_tmg.build sys).To_tmg.tmg in
