@@ -88,9 +88,9 @@ let setup_trace = function
    for any value — parallelism only changes wall-clock. *)
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"J"
-         ~doc:"Fan the work over J domains (default: the $(b,ERMES_JOBS) \
-               environment variable, else sequential). The result is identical \
-               for every J.")
+         ~doc:"Fan the work over J domains, at most the host's cores (default: \
+               the $(b,ERMES_JOBS) environment variable, else sequential). The \
+               result is identical for every J.")
 
 let resolve_jobs = function Some j -> j | None -> Parallel.default_jobs ()
 
@@ -259,7 +259,7 @@ let order_cmd =
     Arg.(value & opt (some int) None & info [ "refine" ] ~docv:"N"
            ~doc:"After ordering, run up to N local-search analyses to close the remaining gap.")
   in
-  let run file strategy refine jobs out =
+  let run file strategy refine out =
     let sys = or_die (load file) in
     let before =
       match Perf.analyze sys with
@@ -285,16 +285,7 @@ let order_cmd =
            Printf.eprintf "note: optimized order would be slower; kept the incumbent\n")));
     (match refine with
      | Some budget when Perf.analyze sys |> Result.is_ok ->
-       (* --jobs (or ERMES_JOBS > 1) switches the refinement to the
-          deterministic batch mode; otherwise the sequential greedy runs. *)
-       let jobs =
-         match jobs with
-         | Some j -> Some j
-         | None ->
-           let d = Parallel.default_jobs () in
-           if d > 1 then Some d else None
-       in
-       let evals = Order.local_search ~max_evaluations:budget ?jobs sys in
+       let evals = Order.local_search ~max_evaluations:budget sys in
        Format.eprintf "local search: %d analyses@." evals
      | Some _ | None -> ());
     (match (before, Perf.analyze sys) with
@@ -307,7 +298,7 @@ let order_cmd =
   in
   Cmd.v
     (Cmd.info "order" ~exits ~doc:"Reorder the put/get statements (paper §4).")
-    (with_logs (with_trace Term.(const run $ file_arg $ strategy $ refine $ jobs_arg $ output_arg)))
+    (with_logs (with_trace Term.(const run $ file_arg $ strategy $ refine $ output_arg)))
 
 (* ---- simulate ---------------------------------------------------------- *)
 

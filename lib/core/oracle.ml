@@ -28,7 +28,8 @@ let orders_signature sys =
     (fun p -> (System.get_order sys p, System.put_order sys p))
     (System.processes sys)
 
-let search ?(limit = 100_000) ?(jobs = 1) ?checkpoint ?resume sys =
+let search ?(limit = 100_000) ?(jobs = 1) ?(checkpoint = fun ~slice:_ _ -> ())
+    ?(resume = fun ~slice:_ -> None) sys =
   let combos = System.order_combinations sys in
   if combos > float_of_int limit then
     invalid_arg
@@ -45,23 +46,14 @@ let search ?(limit = 100_000) ?(jobs = 1) ?checkpoint ?resume sys =
       (System.processes work)
   in
   (* Split the enumeration into contiguous lexicographic slices by expanding
-     a prefix of the per-process choices. Each slice is evaluated on its own
-     System copy with its own incremental session; slice results merge in
-     slice order with strict improvement, which reproduces the sequential
-     first-found-minimum exactly — the outcome is bit-identical for every
-     [jobs] value (only wall-clock differs). *)
-  (* Checkpointing gives every slice an identity (its index), so the slicing
-     must then be a function of the system alone — a fixed threshold keeps
-     journals interchangeable across [jobs] values. Without checkpointing the
-     threshold scales with [jobs] as before (and collapses to one slice
-     sequentially, where splitting buys nothing). *)
-  let checkpointed = checkpoint <> None || resume <> None in
-  let threshold =
-    if checkpointed then 64 else if jobs <= 1 then 1 else jobs * 8
-  in
+     a prefix of the per-process choices until there are at least 64. The
+     slicing is a function of the system alone, so every slice has a stable
+     index — a checkpoint journal written under one [jobs] resumes under any
+     other. Slice results merge in slice order with strict improvement,
+     which reproduces the sequential first-found minimum exactly. *)
   let rec slice prefixes rest =
     match rest with
-    | (p, opts) :: tail when List.length prefixes < threshold ->
+    | (p, opts) :: tail when List.length prefixes < 64 ->
       let prefixes' =
         List.concat_map
           (fun pre -> List.map (fun choice -> (p, choice) :: pre) opts)
@@ -72,12 +64,12 @@ let search ?(limit = 100_000) ?(jobs = 1) ?checkpoint ?resume sys =
   in
   let prefixes, rest = slice [ [] ] choices in
   let tasks = Array.of_list prefixes in
-  (* One slice, against a caller-provided working copy and warm incremental
+  (* One slice, against a worker's working copy and warm incremental
      session. Every enumeration leaf sets the complete order assignment on
      the way down (prefix here, the rest in [enumerate]), so the outcome is
      a function of the prefix alone — independent of whatever orders the
      previous slice left on [w]. That is what lets slices share a session. *)
-  let run_slice w session pre =
+  let run_slice (w, session) pre =
     List.iter
       (fun (p, (g, o)) ->
         System.set_get_order w p g;
@@ -111,103 +103,29 @@ let search ?(limit = 100_000) ?(jobs = 1) ?checkpoint ?resume sys =
     enumerate rest;
     { slice_best = !best; slice_evaluated = !evaluated; slice_deadlocked = !deadlocked }
   in
-  (* A group of slices shares one System copy and one incremental session:
-     order flips between consecutive slices are exactly the cheap warm path
-     of [Incremental]. Giving every slice its own copy + cold session (as an
-     earlier version did) made [jobs] > 1 *slower* than sequential — the
-     sequential run kept one warm session for the whole enumeration while
-     the parallel run paid dozens of cold solver starts. *)
-  let run_group idxs =
-    let w = System.copy work in
-    let session = Incremental.create w in
-    List.map (fun i -> run_slice w session tasks.(i)) idxs
-  in
-  (* Split [xs] into at most [k] contiguous near-equal chunks. *)
-  let chunk k xs =
-    let len = List.length xs in
-    if len = 0 then []
-    else begin
-      let size = (len + k - 1) / k in
-      let rec go xs =
-        match xs with
-        | [] -> []
-        | _ ->
-          let head = List.filteri (fun i _ -> i < size) xs in
-          let tail = List.filteri (fun i _ -> i >= size) xs in
-          head :: go tail
-      in
-      go xs
-    end
-  in
-  let n = Array.length tasks in
-  let outcomes = Array.make n None in
-  (match resume with
-  | None -> ()
-  | Some lookup ->
-    for i = 0 to n - 1 do
-      outcomes.(i) <- lookup ~slice:i
-    done);
-  (* The checkpoint hook fires in strict slice order as the completed prefix
-     advances — including for resumed slices, so a resumed journal ends up
-     identical to an uninterrupted one. *)
-  let flushed = ref 0 in
-  let flush () =
-    match checkpoint with
-    | None -> ()
-    | Some f ->
-      let continue_ = ref true in
-      while !continue_ && !flushed < n do
-        match outcomes.(!flushed) with
-        | Some o ->
-          f ~slice:!flushed o;
-          incr flushed
-        | None -> continue_ := false
-      done
-  in
-  flush ();
-  (* Checkpointed campaigns run in waves so progress persists as they go
-     (one journal write per wave, not one at the very end); without a
-     journal there is nothing to persist and the whole pending set is one
-     wave. Each wave is split into at most [jobs] groups. The per-slice
-     outcomes — and hence the merged result and the journal records — are
-     bit-identical for every [jobs] value; grouping and waves only change
-     wall-clock and persistence granularity. *)
-  let pending = List.filter (fun i -> outcomes.(i) = None) (List.init n Fun.id) in
-  (* Fan out over at most as many domains as the host has cores: domains
-     beyond that only timeshare one core and pay cross-domain GC
-     coordination — the other half of the historical jobs>1 slowdown.
-     Outcomes are bit-identical for any fan-out. *)
-  let fanout = max 1 (min jobs (Ermes_parallel.Parallel.available ())) in
-  let wave = if checkpointed then max 1 (jobs * 4) else max 1 n in
-  let rec waves = function
-    | [] -> ()
-    | is ->
-      let batch = List.filteri (fun k _ -> k < wave) is in
-      let later = List.filteri (fun k _ -> k >= wave) is in
-      let groups = chunk fanout batch in
-      let results = Ermes_parallel.Parallel.map ~jobs:fanout run_group groups in
-      List.iter2
-        (fun g os -> List.iter2 (fun i o -> outcomes.(i) <- Some o) g os)
-        groups results;
-      flush ();
-      waves later
-  in
-  waves pending;
+  let resumed = Array.init (Array.length tasks) (fun i -> resume ~slice:i) in
   let best = ref None in
   let evaluated = ref 0 and deadlocked = ref 0 in
-  Array.iter
-    (function
-      | None -> assert false
-      | Some o -> (
-        evaluated := !evaluated + o.slice_evaluated;
-        deadlocked := !deadlocked + o.slice_deadlocked;
-        match o.slice_best with
-        | None -> ()
-        | Some (ct, sg) -> (
-          match !best with
-          | None -> best := Some (ct, sg)
-          | Some (ct0, _) -> if Ratio.(ct < ct0) then best := Some (ct, sg))))
-    outcomes;
+  let merge i o =
+    checkpoint ~slice:i o;
+    evaluated := !evaluated + o.slice_evaluated;
+    deadlocked := !deadlocked + o.slice_deadlocked;
+    match (o.slice_best, !best) with
+    | Some (ct, _), Some (ct0, _) when not Ratio.(ct < ct0) -> ()
+    | Some b, _ -> best := Some b
+    | None, _ -> ()
+  in
+  (* A worker keeps one System copy and one incremental session for all the
+     slices it claims in a wave: order flips between slices are the cheap
+     warm path of [Incremental], where a session per slice would pay a cold
+     solver start each. [work] is only read while the waves run. *)
+  Ermes_parallel.Parallel.waves ~jobs ~size:256
+    ~init:(fun () ->
+      let w = System.copy work in
+      (w, Incremental.create w))
+    (Array.length tasks)
+    (fun st i -> match resumed.(i) with Some o -> o | None -> run_slice st tasks.(i))
+    merge;
   match !best with
   | None -> None
   | Some (ct, signature) ->

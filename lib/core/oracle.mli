@@ -44,16 +44,19 @@ val search :
     build.
     @param limit refuse (raise [Invalid_argument]) beyond this many
     combinations (default 100_000).
-    @param jobs fan the enumeration over up to [jobs] domains (default 1).
-    The result — optimum, winning orders, evaluation and deadlock counts —
-    is bit-identical for every [jobs] value: the enumeration is split into
-    lexicographic slices whose results merge in slice order with strict
-    improvement, reproducing the sequential first-found minimum.
+    @param jobs fan the enumeration over up to [jobs] domains (default 1)
+    through {!Ermes_parallel.Parallel.waves}, one System copy and one
+    incremental session per worker.
 
-    With [checkpoint] or [resume] set, the slicing becomes a fixed function
-    of the system alone (independent of [jobs]), each slice gets a stable
-    index, and pending slices run in waves so progress persists as the
-    campaign goes. [checkpoint] fires once per slice in strict slice order —
-    including for slices [resume] answered, so a resumed journal ends up
-    identical to an uninterrupted one. [resume] is called sequentially,
-    before any domain spawns. *)
+    The enumeration is split into lexicographic slices — expanded prefixes
+    of the per-process choices, at least 64 of them, a function of the
+    system alone — that run in waves of 256. Slice results merge in slice
+    order with strict improvement, reproducing the sequential first-found
+    minimum, so the result (optimum, winning orders, evaluation and
+    deadlock counts) is bit-identical for every [jobs] value.
+
+    Every slice has a stable index. [checkpoint] fires once per slice in
+    strict slice order, after each wave — including for slices [resume]
+    answered, so a resumed journal ends up identical to an uninterrupted
+    one. [resume] is called sequentially, once per slice, before any domain
+    spawns. *)

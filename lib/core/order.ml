@@ -1,7 +1,6 @@
 module System = Ermes_slm.System
 module Traversal = Ermes_digraph.Traversal
 module Ratio = Ermes_tmg.Ratio
-module Parallel = Ermes_parallel.Parallel
 
 let log_src = Logs.Src.create "ermes.order" ~doc:"channel ordering"
 
@@ -212,11 +211,12 @@ let conservative sys =
              (List.map (System.channel_name sys) cycle))));
   install_by_rank sys rank
 
-(* Sequential first-improvement greedy: sweep all adjacent swaps, keep each
-   strict improvement immediately, repeat until a full sweep finds none.
-   Every probe goes through one incremental session on [sys] (an order
-   change is a chain rewire plus a warm Howard run, not a TMG rebuild). *)
-let local_search_greedy ~max_evaluations sys =
+(* First-improvement greedy: sweep all adjacent swaps, keep each strict
+   improvement immediately, repeat until a full sweep finds none. Every
+   probe goes through one incremental session on [sys] (an order change is
+   a chain rewire plus a warm Howard run, not a TMG rebuild). *)
+let local_search ?(max_evaluations = 10_000) sys =
+  Obs.span "order.local_search" @@ fun () ->
   let session = Incremental.create sys in
   let best_ct =
     ref
@@ -267,98 +267,8 @@ let local_search_greedy ~max_evaluations sys =
         sweep System.put_order System.set_put_order)
       (System.processes sys)
   done;
+  Obs.incr ~by:!evals "order.local_search.evals";
   !evals
-
-(* Batch variant for multicore: each iteration evaluates the whole neighbor
-   set (fanned over [jobs] domains, each on its own copy + session) and
-   applies the first improving swap by neighbor index. Deterministic in
-   [jobs] — only wall-clock changes — but the improvement trajectory may
-   visit different (equally monotone) intermediate orders than the greedy
-   sweep, which accepts swaps mid-sweep. *)
-let local_search_batch ~max_evaluations ~jobs sys =
-  let master = Incremental.create sys in
-  let best_ct =
-    ref
-      (match Incremental.cycle_time_opt master with
-       | Some ct -> ct
-       | None -> failwith "Order.local_search: the incumbent orders deadlock")
-  in
-  let accessors = function
-    | `Get -> (System.get_order, System.set_get_order)
-    | `Put -> (System.put_order, System.set_put_order)
-  in
-  let swap_at w (p, which, i) =
-    let get, set = accessors which in
-    let order = Array.of_list (get w p) in
-    let t = order.(i) in
-    order.(i) <- order.(i + 1);
-    order.(i + 1) <- t;
-    set w p (Array.to_list order)
-  in
-  let evals = ref 0 in
-  let improved = ref true in
-  while !improved && !evals < max_evaluations do
-    improved := false;
-    let neighbors =
-      List.concat_map
-        (fun p ->
-          let gets = List.length (System.get_order sys p) in
-          let puts = List.length (System.put_order sys p) in
-          List.init (max 0 (gets - 1)) (fun i -> (p, `Get, i))
-          @ List.init (max 0 (puts - 1)) (fun i -> (p, `Put, i)))
-        (System.processes sys)
-    in
-    let budget = max_evaluations - !evals in
-    let neighbors = List.filteri (fun i _ -> i < budget) neighbors in
-    if neighbors <> [] then begin
-      let arr = Array.of_list neighbors in
-      let n = Array.length arr in
-      let nchunks = max 1 (min jobs n) in
-      let tasks =
-        List.init nchunks (fun k ->
-            let lo = n * k / nchunks and hi = n * (k + 1) / nchunks in
-            (Array.sub arr lo (hi - lo), System.copy sys))
-      in
-      let run (chunk, w) =
-        let session = Incremental.create w in
-        Array.to_list
-          (Array.map
-             (fun neighbor ->
-               swap_at w neighbor;
-               let ct = Incremental.cycle_time_opt session in
-               swap_at w neighbor;
-               ct)
-             chunk)
-      in
-      let results = List.concat (Parallel.map ~jobs run tasks) in
-      evals := !evals + List.length results;
-      let chosen = ref None in
-      List.iteri
-        (fun idx ct ->
-          if !chosen = None then
-            match ct with
-            | Some ct when Ratio.(ct < !best_ct) -> chosen := Some (idx, ct)
-            | Some _ | None -> ())
-        results;
-      match !chosen with
-      | Some (idx, ct) ->
-        swap_at sys arr.(idx);
-        best_ct := ct;
-        improved := true
-      | None -> ()
-    end
-  done;
-  !evals
-
-let local_search ?(max_evaluations = 10_000) ?jobs sys =
-  Obs.span "order.local_search" @@ fun () ->
-  let evals =
-    match jobs with
-    | None -> local_search_greedy ~max_evaluations sys
-    | Some jobs -> local_search_batch ~max_evaluations ~jobs sys
-  in
-  Obs.incr ~by:evals "order.local_search.evals";
-  evals
 
 (* splitmix64, kept local so the core library stays free of global random
    state. *)

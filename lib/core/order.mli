@@ -95,7 +95,7 @@ val conservative : System.t -> unit
     exists. @raise Invalid_argument when no deadlock-free order exists (a
     feedback loop without a [Puts_first] process). *)
 
-val local_search : ?max_evaluations:int -> ?jobs:int -> System.t -> int
+val local_search : ?max_evaluations:int -> System.t -> int
 (** Beyond the paper: an anytime first-improvement local search over
     statement orders. Repeatedly tries swapping adjacent statements in every
     process's get and put orders, keeping a swap when the analyzed cycle
@@ -106,15 +106,6 @@ val local_search : ?max_evaluations:int -> ?jobs:int -> System.t -> int
     (the ablation bench quantifies this). Every probe runs through one
     incremental session on the input system. Returns the number of analyses
     performed.
-
-    Without [jobs] the search is the sequential greedy sweep (the
-    reference semantics). With [jobs] (any value, including 1) it switches
-    to steepest-batch mode: each iteration evaluates {e all} adjacent-swap
-    neighbors — fanned over up to [jobs] domains, each probing its own
-    [System.copy] through its own session — and applies the first
-    improving swap by neighbor index. Batch mode is deterministic in
-    [jobs] ([~jobs:4] lands exactly where [~jobs:1] does), but may take a
-    different (equally monotone) improvement path than the greedy sweep.
     @raise Failure if the incumbent orders deadlock. *)
 
 val conservative_random : seed:int -> System.t -> unit

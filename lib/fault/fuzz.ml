@@ -206,14 +206,11 @@ let write_repro dir ~seed ~case sys scenario mismatches =
       in case order — exactly the draws the sequential loop would make.
    2. {e Execute} (parallel): differential run + shrink + mismatch extraction
       are a pure function of one case (each worker only touches its own
-      generated system), fanned over [jobs] domains with index-ordered
-      results.
+      generated system), run by {!Parallel.waves}.
    3. {e Classify} (sequential, in case order): counters, repro files and log
-      lines replay exactly the sequential order.
-
-   Phases 2 and 3 interleave in fixed-size waves of cases so checkpoints
-   persist as the campaign progresses; waves preserve case order, so every
-   output is still bit-identical to the sequential run.
+      lines replay exactly the sequential order; [waves] emits each wave of
+      32 cases before the next starts, so checkpoints persist as the
+      campaign progresses.
 
    [resume] short-circuits phase 2 for cases whose outcome a checkpoint
    journal already holds (generation still runs — it is what makes the
@@ -226,111 +223,86 @@ let run ?(log = fun _ -> ()) ?checkpoint ?resume ?jobs config =
   let rng = Prng.create ~seed:config.seed in
   let faults = ref 0 in
   let cases =
-    let acc = ref [] in
-    for case = 0 to config.cases - 1 do
-      let sys, scenario = gen_case rng ~max_processes:config.max_processes in
-      faults := !faults + List.length scenario;
-      acc := (case, sys, scenario) :: !acc
-    done;
-    List.rev !acc
+    Array.init config.cases (fun _ ->
+        let sys, scenario = gen_case rng ~max_processes:config.max_processes in
+        faults := !faults + List.length scenario;
+        (sys, scenario))
   in
-  let execute_case =
-    (fun (case, sys, scenario) ->
-        let execute () =
-          let outcome =
-            Obs.incr "fuzz.execs";
-            match Differential.run_case ~rounds:config.rounds ~rtl:config.rtl sys scenario with
-            | r -> Ok r
-            | exception e ->
-              Error (Printf.sprintf "uncaught exception: %s" (Printexc.to_string e))
-          in
-          match outcome with
-          | Ok r when Differential.agreed r ->
-            (case, sys, scenario, `Agreed r.Differential.verdict)
-          | _ ->
-            let scenario = shrink sys ~rounds:config.rounds ~rtl:config.rtl scenario in
-            let mismatches =
-              Obs.incr "fuzz.execs";
-              match Differential.run_case ~rounds:config.rounds ~rtl:config.rtl sys scenario with
-              | r when not (Differential.agreed r) -> r.Differential.mismatches
-              | _ -> (
-                (* The shrunk scenario no longer fails deterministically (should
-                   not happen); report whatever the original run said. *)
-                match outcome with Ok r -> r.Differential.mismatches | Error e -> [ e ])
-              | exception e ->
-                [ Printf.sprintf "uncaught exception: %s" (Printexc.to_string e) ]
-            in
-            (case, sys, scenario, `Failed mismatches)
+  let execute_case () case =
+    let sys, scenario = cases.(case) in
+    let execute () =
+      let outcome =
+        Obs.incr "fuzz.execs";
+        match Differential.run_case ~rounds:config.rounds ~rtl:config.rtl sys scenario with
+        | r -> Ok r
+        | exception e ->
+          Error (Printf.sprintf "uncaught exception: %s" (Printexc.to_string e))
+      in
+      match outcome with
+      | Ok r when Differential.agreed r -> (scenario, `Agreed r.Differential.verdict)
+      | _ ->
+        let scenario = shrink sys ~rounds:config.rounds ~rtl:config.rtl scenario in
+        let mismatches =
+          Obs.incr "fuzz.execs";
+          match Differential.run_case ~rounds:config.rounds ~rtl:config.rtl sys scenario with
+          | r when not (Differential.agreed r) -> r.Differential.mismatches
+          | _ -> (
+            (* The shrunk scenario no longer fails deterministically (should
+               not happen); report whatever the original run said. *)
+            match outcome with Ok r -> r.Differential.mismatches | Error e -> [ e ])
+          | exception e -> [ Printf.sprintf "uncaught exception: %s" (Printexc.to_string e) ]
         in
-        match resume with
-        | None -> execute ()
-        | Some lookup -> (
-          match lookup ~case sys with
-          | Some (Case_agreed v) -> (case, sys, scenario, `Agreed v)
-          | Some (Case_failed { scenario = shrunk; mismatches }) ->
-            (case, sys, shrunk, `Failed mismatches)
-          | None -> execute ()))
+        (scenario, `Failed mismatches)
+    in
+    match resume with
+    | None -> execute ()
+    | Some lookup -> (
+      match lookup ~case sys with
+      | Some (Case_agreed v) -> (scenario, `Agreed v)
+      | Some (Case_failed { scenario = shrunk; mismatches }) -> (shrunk, `Failed mismatches)
+      | None -> execute ())
   in
   let live = ref 0 and dead = ref 0 in
   let failures = ref [] in
   let record case sys outcome =
     match checkpoint with None -> () | Some f -> f ~case sys outcome
   in
-  let classify =
-    (fun (case, sys, scenario, verdict) ->
-      (match verdict with
-      | `Agreed v ->
-        (match v with
-        | Some (Differential.Live _) -> incr live
-        | Some Differential.Dead -> incr dead
-        | None -> ());
-        record case sys (Case_agreed v)
-      | `Failed mismatches ->
-        let repro_file =
-          match config.repro_dir with
-          | Some dir -> (
-            match write_repro dir ~seed:config.seed ~case sys scenario mismatches with
-            | path -> Some path
-            | exception Sys_error _ -> None)
-          | None -> None
-        in
-        log
-          (Printf.sprintf "case %d: FAIL — %s%s" case
-             (String.concat "; " (List.map one_line mismatches))
-             (match repro_file with Some f -> " (repro: " ^ f ^ ")" | None -> ""));
-        (* With no repro file the shrunk counterexample would be lost —
-           print it instead, so a failing CI log is actionable on its own. *)
-        if repro_file = None then begin
-          let _, text = repro_text ~seed:config.seed ~case sys scenario mismatches in
-          log (Printf.sprintf "case %d: shrunk counterexample:\n%s" case text)
-        end;
-        record case sys (Case_failed { scenario; mismatches });
-        failures := { case; scenario; mismatches; system = sys; repro_file } :: !failures);
-      if (case + 1) mod 25 = 0 then
-        log
-          (Printf.sprintf "%d/%d cases, %d failures" (case + 1) config.cases
-             (List.length !failures)))
+  let classify case (scenario, verdict) =
+    let sys, _ = cases.(case) in
+    (match verdict with
+    | `Agreed v ->
+      (match v with
+      | Some (Differential.Live _) -> incr live
+      | Some Differential.Dead -> incr dead
+      | None -> ());
+      record case sys (Case_agreed v)
+    | `Failed mismatches ->
+      let repro_file =
+        match config.repro_dir with
+        | Some dir -> (
+          match write_repro dir ~seed:config.seed ~case sys scenario mismatches with
+          | path -> Some path
+          | exception Sys_error _ -> None)
+        | None -> None
+      in
+      log
+        (Printf.sprintf "case %d: FAIL — %s%s" case
+           (String.concat "; " (List.map one_line mismatches))
+           (match repro_file with Some f -> " (repro: " ^ f ^ ")" | None -> ""));
+      (* With no repro file the shrunk counterexample would be lost —
+         print it instead, so a failing CI log is actionable on its own. *)
+      if repro_file = None then begin
+        let _, text = repro_text ~seed:config.seed ~case sys scenario mismatches in
+        log (Printf.sprintf "case %d: shrunk counterexample:\n%s" case text)
+      end;
+      record case sys (Case_failed { scenario; mismatches });
+      failures := { case; scenario; mismatches; system = sys; repro_file } :: !failures);
+    if (case + 1) mod 25 = 0 then
+      log
+        (Printf.sprintf "%d/%d cases, %d failures" (case + 1) config.cases
+           (List.length !failures))
   in
-  (* Cases run in fixed-size waves, classifying (and therefore
-     checkpointing) after each, so a kill mid-campaign loses at most one
-     wave of completed work — not the whole execution phase. The wave size
-     is independent of [jobs], and waves preserve case order, so neither
-     the summary nor a checkpoint journal depends on it. *)
-  let rec take n = function
-    | l when n = 0 -> ([], l)
-    | [] -> ([], [])
-    | x :: tl ->
-      let a, b = take (n - 1) tl in
-      (x :: a, b)
-  in
-  let rec waves = function
-    | [] -> ()
-    | remaining ->
-      let batch, rest = take 32 remaining in
-      List.iter classify (Parallel.map ?jobs execute_case batch);
-      waves rest
-  in
-  waves cases;
+  Parallel.waves ?jobs ~size:32 ~init:ignore config.cases execute_case classify;
   {
     cases_run = config.cases;
     live = !live;

@@ -13,9 +13,10 @@
     seed replays the same cases bit-for-bit — including under parallel
     execution. Case generation draws from the single seeded Prng
     sequentially; the differential runs and shrinks (pure per case) fan out
-    over [jobs] domains; classification, repro writing and logging replay
-    sequentially in case order. The summary, every repro file and every log
-    line are identical for any [jobs]. *)
+    over [jobs] domains through {!Ermes_parallel.Parallel.waves};
+    classification, repro writing and logging replay sequentially in case
+    order. The summary, every repro file and every log line are identical
+    for any [jobs]. *)
 
 module System = Ermes_slm.System
 
@@ -68,7 +69,7 @@ val run :
 
     [checkpoint] is invoked once per case, in case order, from the
     sequential classify phase — safe to write a journal from. Cases execute
-    in fixed-size waves with classification after each wave, so checkpoints
+    in waves of 32 with classification after each wave, so checkpoints
     persist incrementally: a campaign killed mid-flight has journalled all
     but at most one wave of its completed work. [resume] is
     consulted {e in the worker domains} before a case is executed: returning

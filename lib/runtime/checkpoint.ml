@@ -144,6 +144,28 @@ let load_for ~kind ~meta ~resume path =
     | Ok l -> Ok l.Journal.entries
   else Ok []
 
+(* Fuzz cases and oracle slices are independent units with stable indices:
+   the journal holds one record per unit, headed "<tag> <index>". The last
+   record of each unit wins; [run] gets the journal's [append] and a
+   [lookup] of the loaded record for a unit index. *)
+let indexed ?io ~kind ~tag ~meta ~resume path run =
+  match load_for ~kind ~meta ~resume path with
+  | Error e -> Error e
+  | Ok entries ->
+    let table = Hashtbl.create ((2 * List.length entries) + 1) in
+    List.iter
+      (fun payload ->
+        match
+          let s = stream payload in
+          expect s tag;
+          int s
+        with
+        | i -> Hashtbl.replace table i payload
+        | exception Bad -> ())
+      entries;
+    let sink = sink_start ?io ~meta ~kind path in
+    Ok (run ~append:(sink_append sink) ~lookup:(Hashtbl.find_opt table))
+
 (* ---- fuzz ---------------------------------------------------------------- *)
 
 let fuzz_meta (c : Fuzz.config) =
@@ -167,13 +189,6 @@ let encode_fuzz_case ~case sys outcome =
     Printf.bprintf b " %d" (List.length mismatches);
     List.iter (fun m -> Printf.bprintf b " %s" (Journal.escape m)) mismatches);
   Buffer.contents b
-
-let fuzz_case_of_payload payload =
-  try
-    let s = stream payload in
-    expect s "case";
-    Some (int s)
-  with Bad -> None
 
 (* Fault specs name processes and channels, so decoding needs the case's own
    (regenerated) system — which is why the lookup runs in the worker domains,
@@ -209,31 +224,15 @@ let decode_fuzz_case sys payload =
   with Bad -> None
 
 let fuzz_run ?io ?log ?jobs ~path ~resume config =
-  let meta = fuzz_meta config in
-  match load_for ~kind:"fuzz" ~meta ~resume path with
-  | Error e -> Error e
-  | Ok entries ->
-    let table = Hashtbl.create ((2 * List.length entries) + 1) in
-    List.iter
-      (fun payload ->
-        match fuzz_case_of_payload payload with
-        | Some case -> Hashtbl.replace table case payload
-        | None -> ())
-      entries;
-    let sink = sink_start ?io ~meta ~kind:"fuzz" path in
-    let checkpoint ~case sys outcome =
-      sink_append sink (encode_fuzz_case ~case sys outcome)
-    in
-    let lookup ~case sys =
-      match Hashtbl.find_opt table case with
-      | None -> None
-      | Some payload -> (
-        match decode_fuzz_case sys payload with
-        | Some (c, outcome) when c = case -> Some outcome
-        | _ -> None)
-    in
-    let resume = if Hashtbl.length table = 0 then None else Some lookup in
-    Ok (Fuzz.run ?log ?jobs ~checkpoint ?resume config)
+  indexed ?io ~kind:"fuzz" ~tag:"case" ~meta:(fuzz_meta config) ~resume path
+  @@ fun ~append ~lookup ->
+  let checkpoint ~case sys outcome = append (encode_fuzz_case ~case sys outcome) in
+  let resume ~case sys =
+    match Option.bind (lookup case) (decode_fuzz_case sys) with
+    | Some (c, outcome) when c = case -> Some outcome
+    | _ -> None
+  in
+  Fuzz.run ?log ?jobs ~checkpoint ~resume config
 
 (* ---- design-space exploration ------------------------------------------- *)
 
@@ -359,18 +358,12 @@ let decode_oracle_slice payload =
   with Bad -> None
 
 let oracle_search ?io ?limit ?jobs ~path ~resume sys =
-  let meta = oracle_meta sys in
-  match load_for ~kind:"oracle" ~meta ~resume path with
-  | Error e -> Error e
-  | Ok entries ->
-    let table = Hashtbl.create ((2 * List.length entries) + 1) in
-    List.iter
-      (fun payload ->
-        match decode_oracle_slice payload with
-        | Some (slice, outcome) -> Hashtbl.replace table slice outcome
-        | None -> ())
-      entries;
-    let sink = sink_start ?io ~meta ~kind:"oracle" path in
-    let checkpoint ~slice outcome = sink_append sink (encode_oracle_slice ~slice outcome) in
-    let lookup ~slice = Hashtbl.find_opt table slice in
-    Ok (Oracle.search ?limit ?jobs ~checkpoint ~resume:lookup sys)
+  indexed ?io ~kind:"oracle" ~tag:"slice" ~meta:(oracle_meta sys) ~resume path
+  @@ fun ~append ~lookup ->
+  let checkpoint ~slice outcome = append (encode_oracle_slice ~slice outcome) in
+  let resume ~slice =
+    match Option.bind (lookup slice) decode_oracle_slice with
+    | Some (i, outcome) when i = slice -> Some outcome
+    | _ -> None
+  in
+  Oracle.search ?limit ?jobs ~checkpoint ~resume sys

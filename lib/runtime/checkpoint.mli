@@ -97,8 +97,8 @@ val oracle_search :
   resume:bool ->
   System.t ->
   (Oracle.result option, string) result
-(** {!Oracle.search} with a checkpoint journal at [path]. Checkpointing
-    fixes the enumeration slicing independently of [jobs], so a journal
-    written under one job count resumes under any other.
+(** {!Oracle.search} with a checkpoint journal at [path]. The enumeration's
+    slicing depends on the system alone, so a journal written under one job
+    count resumes under any other.
     @raise Invalid_argument as {!Oracle.search} does when the combination
     count exceeds [limit]. *)

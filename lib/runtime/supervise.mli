@@ -129,9 +129,10 @@ type stats = {
 val run : ?jobs:int -> ?policy:policy -> int -> (int -> 'a) -> 'a outcome array * stats
 (** [run ~jobs ~policy n task] executes [task 0 .. task (n-1)] under
     supervision on up to [jobs] domains (default
-    {!Ermes_parallel.Parallel.default_jobs}; clamped to [n]). Tasks must
-    not share mutable state (same contract as {!Ermes_parallel.Parallel}).
-    Never raises on task failure — every slot holds an outcome. *)
+    {!Ermes_parallel.Parallel.default_jobs}; clamped to [n] and to the
+    host's cores). Tasks must not share mutable state (same contract as
+    {!Ermes_parallel.Parallel}). Never raises on task failure — every slot
+    holds an outcome. *)
 
 val attempt : ?policy:policy -> (unit -> 'a) -> 'a outcome
 (** [attempt f] supervises one task on the calling domain: retries with the

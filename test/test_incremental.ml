@@ -416,19 +416,7 @@ let test_oracle_jobs_timing () =
     true
     (t4 <= t1 *. 1.2)
 
-(* ---- parallel ordering -------------------------------------------------- *)
-
-let prop_local_search_jobs sys =
-  Order.conservative sys;
-  let a = System.copy sys in
-  let b = System.copy sys in
-  let ea = Order.local_search ~max_evaluations:300 ~jobs:1 a in
-  let eb = Order.local_search ~max_evaluations:300 ~jobs:4 b in
-  ea = eb && orders_signature a = orders_signature b
-
-let test_local_search_jobs =
-  Helpers.qtest ~count:40 "batch local search deterministic in jobs"
-    Helpers.dag_system_gen prop_local_search_jobs
+(* ---- ordering ---------------------------------------------------------- *)
 
 let prop_apply_safe_session sys =
   Order.conservative sys;
@@ -490,6 +478,93 @@ let test_parallel_failure () =
     Alcotest.(check string) "payload" "boom" m
   | exception e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e)
 
+(* [Parallel.waves] at 1, 2 and 4 jobs: [emit] sees every result in index
+   order; every emit of a wave precedes every run of the next wave; each
+   state from [init] serves one worker domain within one wave, and a
+   worker builds at most one per wave; a raising unit surfaces as the
+   lowest failing index, after the waves before it were emitted and before
+   any later wave ran. *)
+let waves_gen =
+  QCheck2.Gen.(
+    let* n = int_range 0 300 in
+    let* size = int_range 1 (n + 1) in
+    let* jobs = oneofl [ 1; 2; 4 ] in
+    let* fails =
+      if n = 0 then pure []
+      else frequency [ (2, pure []); (1, list_size (int_range 1 3) (int_range 0 (n - 1))) ]
+    in
+    pure (n, size, jobs, fails))
+
+let prop_waves (n, size, jobs, fails) =
+  let f i = (7 * i) + 1 in
+  let clock = Atomic.make 0 in
+  let tick () = Atomic.fetch_and_add clock 1 in
+  let ran = Array.make n (-1) and emitted_at = Array.make n (-1) in
+  let emitted = ref [] in
+  let lock = Mutex.create () in
+  let inits = ref [] and uses = ref [] in
+  let domain () = (Domain.self () :> int) in
+  let init () =
+    Mutex.protect lock (fun () ->
+        let token = List.length !inits in
+        inits := (token, domain ()) :: !inits;
+        token)
+  in
+  let run token i =
+    ran.(i) <- tick ();
+    Mutex.protect lock (fun () -> uses := (token, domain (), i) :: !uses);
+    if List.mem i fails then failwith "unit" else f i
+  in
+  let emit i v =
+    emitted := (i, v) :: !emitted;
+    emitted_at.(i) <- tick ()
+  in
+  let raised =
+    match Parallel.waves ~jobs ~size ~init n run emit with
+    | () -> None
+    | exception Parallel.Worker_failure (i, Failure _) -> Some i
+  in
+  let wave i = i / size in
+  let expected, emitted_upto =
+    match fails with
+    | [] -> (None, n)
+    | _ ->
+      let lowest = List.fold_left min max_int fails in
+      (Some lowest, wave lowest * size)
+  in
+  let barrier =
+    List.for_all
+      (fun i ->
+        List.for_all
+          (fun j -> wave j <= wave i || (ran.(j) < 0 || emitted_at.(i) < ran.(j)))
+          (List.init n Fun.id))
+      (List.init emitted_upto Fun.id)
+  in
+  let never_ran_after_failure =
+    List.for_all
+      (fun j -> j < emitted_upto + size || ran.(j) < 0)
+      (List.init n Fun.id)
+  in
+  let one_state_per_worker_per_wave =
+    List.for_all
+      (fun (token, dom) ->
+        let mine = List.filter (fun (t, _, _) -> t = token) !uses in
+        match mine with
+        | [] -> false
+        | (_, _, i0) :: _ ->
+          List.for_all (fun (_, d, i) -> d = dom && wave i = wave i0) mine
+          && not
+               (List.exists
+                  (fun (t, d, i) -> t <> token && d = dom && wave i = wave i0)
+                  !uses))
+      !inits
+  in
+  raised = expected
+  && List.rev !emitted = List.init emitted_upto (fun i -> (i, f i))
+  && barrier && never_ran_after_failure && one_state_per_worker_per_wave
+
+let test_waves = Helpers.qtest ~count:150 "waves: order, barrier, init, failure" waves_gen prop_waves
+
 let () =
   Alcotest.run "incremental"
     [
@@ -516,11 +591,12 @@ let () =
           Alcotest.test_case "jobs 4 never slower than jobs 1" `Quick
             test_oracle_jobs_timing;
         ] );
-      ("ordering", [ test_local_search_jobs; test_apply_safe_session ]);
+      ("ordering", [ test_apply_safe_session ]);
       ("fuzz", [ Alcotest.test_case "jobs 2 == jobs 1" `Quick test_fuzz_jobs ]);
       ( "parallel",
         [
           Alcotest.test_case "map/init deterministic" `Quick test_parallel_map;
           Alcotest.test_case "worker failure index" `Quick test_parallel_failure;
+          test_waves;
         ] );
     ]
