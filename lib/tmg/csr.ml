@@ -351,9 +351,12 @@ let throughput r = Ratio.inv r.cycle_time
 let eps = 1e-9
 let max_iterations = 200
 
-(* Preallocated per-solver scratch. Every array is sized by the transition
-   count (the ring FIFO by n+1); all are reset member-by-member or via
-   Array.fill, never reallocated between solves. *)
+(* Preallocated per-solver buffers, sized by the transition count (the ring
+   FIFO and the filtered rows by n+1) or the place count, and allocated
+   together by [make_scratch] — when the solver is made and when the net's
+   counts change, never between solves. [warm] and [potentials] carry over
+   from one solve to the next; the rest is reset member-by-member or via
+   Array.fill. *)
 type scratch = {
   policy : int array;
   lambda : float array;
@@ -377,9 +380,17 @@ type scratch = {
   mutable cyc_count : int;
   best_cyc : int array;  (* best cycle of the component being solved *)
   win_cyc : int array;  (* best cycle across components *)
+  everywhere : bool array;  (* per place: constant true *)
+  cost_buf : int array;  (* per place: reduced cost, per SPFA call *)
+  fo_row : int array;  (* mask-filtered CSR rows, per SPFA call *)
+  fo_adj : int array;  (* mask-filtered CSR arcs, per SPFA call *)
+  warm : int array;  (* last converged policy; -1 = none *)
+  mutable warmed : bool;
+  potentials : int array;  (* last certification fixpoint *)
 }
 
-let make_scratch n =
+let make_scratch n m =
+  Obs.span "csr.scratch" @@ fun () ->
   let mk v = Array.make (max n 1) v in
   {
     policy = mk (-1);
@@ -404,6 +415,13 @@ let make_scratch n =
     cyc_count = 0;
     best_cyc = mk 0;
     win_cyc = mk 0;
+    everywhere = Array.make (max m 1) true;
+    cost_buf = Array.make (max m 1) 0;
+    fo_row = Array.make (n + 1) 0;
+    fo_adj = Array.make (max m 1) 0;
+    warm = mk (-1);
+    warmed = false;
+    potentials = mk 0;
   }
 
 type solver = {
@@ -412,18 +430,11 @@ type solver = {
   mutable m : int;
   mutable g : t;
   mutable in_scc : bool array;  (* per place: endpoints share a component *)
-  mutable everywhere : bool array;  (* per place: constant true *)
-  mutable cost_buf : int array;  (* per place: reduced cost, per SPFA call *)
-  mutable fo_row : int array;  (* mask-filtered CSR rows, per SPFA call *)
-  mutable fo_adj : int array;  (* mask-filtered CSR arcs, per SPFA call *)
   mutable comp_row : int array;  (* length comp_count+1 *)
   mutable comp_members : int array;  (* ascending within each component *)
   mutable comp_cyclic : bool array;  (* component has an internal place *)
   mutable comp_count : int;
   mutable scc_dirty : bool;
-  mutable warm : int array;  (* last converged policy; -1 = none *)
-  mutable warmed : bool;
-  mutable potentials : int array;  (* last certification fixpoint *)
   mutable liveness : Liveness.dead_cycle option option;
   mutable scratch : scratch;
 }
@@ -443,20 +454,13 @@ let make_solver tmg =
     m = g.m;
     g;
     in_scc = [||];
-    everywhere = Array.make (max g.m 1) true;
-    cost_buf = Array.make (max g.m 1) 0;
-    fo_row = Array.make (g.n + 1) 0;
-    fo_adj = Array.make (max g.m 1) 0;
     comp_row = [||];
     comp_members = [||];
     comp_cyclic = [||];
     comp_count = 0;
     scc_dirty = true;
-    warm = Array.make (max g.n 1) (-1);
-    warmed = false;
-    potentials = Array.make (max g.n 1) 0;
     liveness = None;
-    scratch = make_scratch g.n;
+    scratch = make_scratch g.n g.m;
   }
 
 let compute_scc_state s =
@@ -491,16 +495,9 @@ let refresh s =
     s.n <- n;
     s.m <- m;
     s.in_scc <- [||];
-    s.everywhere <- Array.make (max m 1) true;
-    s.cost_buf <- Array.make (max m 1) 0;
-    s.fo_row <- Array.make (n + 1) 0;
-    s.fo_adj <- Array.make (max m 1) 0;
-    s.warm <- Array.make (max n 1) (-1);
-    s.warmed <- false;
-    s.potentials <- Array.make (max n 1) 0;
     s.scc_dirty <- true;
     s.liveness <- None;
-    s.scratch <- make_scratch n
+    s.scratch <- make_scratch n m
   end
   else begin
     let g = s.g in
@@ -703,7 +700,7 @@ let howard_scc s lo hi =
   let g = s.g and sc = s.scratch in
   for i = lo to hi - 1 do
     let u = s.comp_members.(i) in
-    let w = s.warm.(u) in
+    let w = sc.warm.(u) in
     if w >= 0 && w < g.m && g.src.(w) = u && s.in_scc.(w) then sc.policy.(u) <- w
     else begin
       let a = ref (-1) in
@@ -744,7 +741,7 @@ let howard_scc s lo hi =
   done;
   for i = lo to hi - 1 do
     let u = s.comp_members.(i) in
-    s.warm.(u) <- sc.policy.(u)
+    sc.warm.(u) <- sc.policy.(u)
   done;
   match !best_r with
   | Some r -> (r, !best_len, !rounds)
@@ -767,7 +764,7 @@ let find_positive_cycle s mask d ratio =
      precomputes each kept arc's reduced cost — the SPFA loop then carries
      no mask test and no multiplications. *)
   let out_row = g.out_row and out_adj = g.out_adj in
-  let cost_buf = s.cost_buf and fo_row = s.fo_row and fo_adj = s.fo_adj in
+  let cost_buf = sc.cost_buf and fo_row = sc.fo_row and fo_adj = sc.fo_adj in
   let idx = ref 0 in
   for u = 0 to n - 1 do
     Array.unsafe_set fo_row u !idx;
@@ -920,7 +917,7 @@ let howard s =
    magnitude is skipped. *)
 let seed_potentials s ratio =
   let q = float_of_int (Ratio.den ratio) in
-  let x = s.scratch.x and pot = s.potentials in
+  let x = s.scratch.x and pot = s.scratch.potentials in
   for c = 0 to s.comp_count - 1 do
     if s.comp_cyclic.(c) then
       for i = s.comp_row.(c) to s.comp_row.(c + 1) - 1 do
@@ -964,7 +961,7 @@ let certify s ratio win_len =
   let ratio = ref seed_ratio and arcs = ref seed_arcs and rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    match find_positive_cycle s s.in_scc s.potentials !ratio with
+    match find_positive_cycle s s.in_scc sc.potentials !ratio with
     | None -> continue_ := false
     | Some a ->
       ratio := Option.get (cycle_ratio g a);
@@ -973,7 +970,7 @@ let certify s ratio win_len =
   done;
   (* Cross-SCC places carry no cycle, so this pass must reach a fixpoint —
      the resulting potentials are the whole-net optimality witness. *)
-  (match find_positive_cycle s s.everywhere s.potentials !ratio with
+  (match find_positive_cycle s sc.everywhere sc.potentials !ratio with
   | None -> ()
   | Some _ -> assert false);
   (!ratio, !arcs, !rounds)
@@ -981,7 +978,7 @@ let certify s ratio win_len =
 let solve s =
   Obs.span "csr.solve" @@ fun () ->
   refresh s;
-  Obs.incr (if s.warmed then "csr.solve.warm" else "csr.solve.cold");
+  Obs.incr (if s.scratch.warmed then "csr.solve.warm" else "csr.solve.cold");
   let dead =
     match s.liveness with
     | Some verdict ->
@@ -1008,7 +1005,7 @@ let solve s =
     if not (Array.exists Fun.id s.comp_cyclic) then Error No_cycle
     else begin
       let ratio, win_len, iters = Obs.span "csr.howard" (fun () -> howard s) in
-      s.warmed <- true;
+      s.scratch.warmed <- true;
       let final_ratio, final_arcs, cancels =
         Obs.span "csr.certify" (fun () -> certify s ratio win_len)
       in
@@ -1022,7 +1019,7 @@ let solve s =
           cycle_time = final_ratio;
           critical_places = final_arcs;
           critical_transitions = List.map (fun a -> s.g.dst.(a)) final_arcs;
-          potentials = Array.copy s.potentials;
+          potentials = Array.copy s.scratch.potentials;
           howard_iterations = iters;
           cancel_iterations = cancels;
         }
