@@ -150,11 +150,6 @@ let apply sys =
   final_ordering sys lb;
   lb
 
-let ordered_copy sys =
-  let sys' = System.copy sys in
-  ignore (apply sys');
-  sys'
-
 type safe_outcome =
   | Applied of labels
   | Kept_incumbent of [ `Would_deadlock | `Would_regress ]

@@ -80,9 +80,6 @@ val apply_safe : ?session:Incremental.t -> System.t -> safe_outcome
     @raise Failure if the {e incumbent} orders already deadlock (order the
     system with {!conservative} first). *)
 
-val ordered_copy : System.t -> System.t
-(** [apply] on a copy, leaving the input untouched. *)
-
 val conservative : System.t -> unit
 (** The baseline ordering the paper's input implementations use: a
     {e provably} deadlock-free order, blind to latencies — so it "may

@@ -42,16 +42,6 @@ let pop v =
 
 let last v = if v.len = 0 then None else Some v.data.(v.len - 1)
 
-let remove_first v p =
-  let rec find i = if i >= v.len then -1 else if p v.data.(i) then i else find (i + 1) in
-  let i = find 0 in
-  if i < 0 then false
-  else begin
-    Array.blit v.data (i + 1) v.data i (v.len - i - 1);
-    v.len <- v.len - 1;
-    true
-  end
-
 let clear v = v.len <- 0
 
 let iter f v =

@@ -31,10 +31,6 @@ val pop : 'a t -> 'a option
 
 val last : 'a t -> 'a option
 
-val remove_first : 'a t -> ('a -> bool) -> bool
-(** [remove_first v p] removes the first element satisfying [p], shifting the
-    rest left (relative order preserved). Returns whether one was removed. *)
-
 val clear : 'a t -> unit
 (** [clear v] removes all elements (capacity is retained). *)
 

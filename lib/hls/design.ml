@@ -158,14 +158,3 @@ let pareto points =
   dedup keep
 
 let pareto_frontier ?unrolls b = pareto (sweep ?unrolls b)
-
-let pp_point ppf p =
-  Format.fprintf ppf "{u=%d%s b=%d %s: latency=%d area=%.0fum2}" p.knobs.unroll
-    (if p.knobs.pipelined then " pipe" else "")
-    p.knobs.banking
-    (match p.knobs.sharing with
-     | Minimal -> "min"
-     | Quarter -> "q"
-     | Half -> "half"
-     | Full -> "full")
-    p.latency p.area

@@ -61,5 +61,3 @@ val pareto : point list -> point list
 
 val pareto_frontier : ?unrolls:int list -> Behavior.t -> point list
 (** [pareto (sweep b)]. *)
-
-val pp_point : Format.formatter -> point -> unit

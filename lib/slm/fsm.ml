@@ -13,8 +13,6 @@ let of_process sys p =
   in
   { process = p; states = Array.of_list (Reset :: body) }
 
-let body_states t = Array.sub t.states 1 (Array.length t.states - 1)
-
 let io_state_count t =
   Array.fold_left
     (fun acc s -> match s with Get _ | Put _ -> acc + 1 | Reset | Compute _ -> acc)

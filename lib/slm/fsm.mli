@@ -27,9 +27,6 @@ type t = {
 
 val of_process : System.t -> System.process -> t
 
-val body_states : t -> state array
-(** The cyclic part (everything but [Reset]). *)
-
 val io_state_count : t -> int
 (** Number of [Get]/[Put] states — "as many I/O states as the number of
     get/put statements" (paper §2). *)

@@ -33,8 +33,6 @@ let rec sift_down h i =
 
 let push h key v = sift_up h (Vec.push h (key, v))
 
-let peek_min h = if Vec.is_empty h then None else Some (Vec.get h 0)
-
 let pop_min h =
   if Vec.is_empty h then None
   else begin

@@ -10,5 +10,3 @@ val push : 'a t -> int -> 'a -> unit
 val pop_min : 'a t -> (int * 'a) option
 (** Removes and returns the entry with the smallest key (ties in insertion
     order are not guaranteed). *)
-
-val peek_min : 'a t -> (int * 'a) option

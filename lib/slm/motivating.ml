@@ -52,4 +52,3 @@ let optimal () =
 
 let expected_suboptimal_cycle_time = 20
 let expected_optimal_cycle_time = 12
-let expected_order_combinations = 36

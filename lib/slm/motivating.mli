@@ -43,6 +43,3 @@ val expected_suboptimal_cycle_time : int
 
 val expected_optimal_cycle_time : int
 (** 12 *)
-
-val expected_order_combinations : int
-(** 36 *)

@@ -45,13 +45,3 @@ let find_dead_cycle tmg =
   match live_ranks tmg with Ok _ -> None | Error dead -> Some dead
 
 let is_live tmg = find_dead_cycle tmg = None
-
-let pp_dead_cycle tmg ppf { dead_transitions; dead_places } =
-  Format.fprintf ppf "@[<v>token-free cycle (%d transitions):@,"
-    (List.length dead_transitions);
-  List.iter2
-    (fun t p ->
-      Format.fprintf ppf "  %s --[%s]--> @," (Tmg.transition_name tmg t)
-        (Tmg.place_name tmg p))
-    dead_transitions dead_places;
-  Format.fprintf ppf "@]"

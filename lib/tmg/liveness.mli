@@ -25,5 +25,3 @@ val live_ranks : Tmg.t -> (int array, dead_cycle) result
 
 val is_live : Tmg.t -> bool
 (** [is_live tmg] iff no token-free cycle exists. *)
-
-val pp_dead_cycle : Tmg.t -> Format.formatter -> dead_cycle -> unit
