@@ -304,7 +304,9 @@ let order_cmd =
 
 let simulate_cmd =
   let rounds =
-    Arg.(value & opt int 64 & info [ "rounds" ] ~docv:"N" ~doc:"Sink iterations to simulate.")
+    Arg.(value & opt int 64 & info [ "rounds" ] ~docv:"N"
+           ~doc:"Budget of sink iterations: the run stops at the first recurrence of its \
+                 state, which proves the period.")
   in
   let max_cycles =
     Arg.(value & opt (some int) None & info [ "max-cycles" ] ~docv:"B"
@@ -569,11 +571,12 @@ let rtl_cmd =
            ~doc:"Co-simulate: interpret the generated RTL cycle by cycle and diff its \
                  steady-state cycle time against the TMG analysis. Exit 0 on \
                  agreement, 2 on any disagreement or an (agreed) deadlock, 3 when no \
-                 steady period emerges within the horizon.")
+                 state recurs within $(b,--rounds) iterations.")
   in
   let rounds =
     Arg.(value & opt int 48 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Monitored sink iterations for --cosim.")
+           ~doc:"Budget of monitored sink iterations for --cosim: the run stops at the \
+                 first recurrence of the register state, which proves the period.")
   in
   let run file emit cosim rounds =
     let sys = or_die (load file) in
@@ -651,7 +654,9 @@ let inject_cmd =
                  checker, RTL co-simulation) instead of emitting it.")
   in
   let rounds =
-    Arg.(value & opt int 96 & info [ "rounds" ] ~docv:"N" ~doc:"Simulation horizon for --check.")
+    Arg.(value & opt int 384 & info [ "rounds" ] ~docv:"N"
+           ~doc:"Budget of monitored iterations for --check: the simulator, the RTL and \
+                 the firing schedule stop at the first recurrence of their state.")
   in
   let run file faults check rounds out =
     let sys = or_die (load file) in
@@ -695,7 +700,9 @@ let fuzz_cmd =
     Arg.(value & opt int 12 & info [ "max-processes" ] ~docv:"P" ~doc:"Largest generated system.")
   in
   let rounds =
-    Arg.(value & opt int 96 & info [ "rounds" ] ~docv:"N" ~doc:"Simulation horizon per case.")
+    Arg.(value & opt int 384 & info [ "rounds" ] ~docv:"N"
+           ~doc:"Budget of monitored iterations per case: the simulator, the RTL and the \
+                 firing schedule stop at the first recurrence of their state.")
   in
   let repro_dir =
     Arg.(value & opt (some string) (Some ".") & info [ "repro-dir" ] ~docv:"DIR"
@@ -781,7 +788,7 @@ let batch_cmd =
                  remaining jobs are reported skipped and the exit code is 3.")
   in
   let rounds =
-    Arg.(value & opt int 64 & info [ "rounds" ] ~docv:"N" ~doc:"Simulation horizon for simulate jobs.")
+    Arg.(value & opt int 64 & info [ "rounds" ] ~docv:"N" ~doc:"Budget of sink iterations for simulate jobs.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the machine-readable JSON report instead of text.")
@@ -1009,7 +1016,7 @@ let serve_cmd =
   in
   let rounds =
     Arg.(value & opt int 10_000 & info [ "rounds" ] ~docv:"N"
-           ~doc:"Simulation horizon for batch $(b,simulate) jobs.")
+           ~doc:"Budget of sink iterations for batch $(b,simulate) jobs.")
   in
   let run socket tcp_port queue workers client_cap idle_timeout frame_deadline
       session_ttl cache max_attempts deadline_ms max_deadline_ms crash_budget
@@ -1278,7 +1285,7 @@ let chaos_cmd =
         (String.concat "," (List.map Campaign.name targets))
     | Some v ->
       Printf.printf "shrunk to [%s]: %s\n" (Chaos.to_spec v.Campaign.minimal) v.message;
-      Printf.printf "replay: %s\n" (Campaign.replay v);
+      Printf.printf "replay: %s\n" (Campaign.replay ~seed v);
       let file =
         match repro_file with
         | Some f -> f

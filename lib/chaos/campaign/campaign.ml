@@ -406,8 +406,8 @@ let run ?plan ~report ~seed ~waves targets =
       in
       wave 1)
 
-let replay v =
-  Printf.sprintf "ermes chaos --target %s --plan '%s'" (name v.target)
+let replay ~seed v =
+  Printf.sprintf "ermes chaos --seed %d --target %s --plan '%s'" seed (name v.target)
     (Chaos.to_spec v.minimal)
 
 let repro ~seed v =
@@ -420,4 +420,4 @@ let repro ~seed v =
      violation: %s\n\
      replay: %s\n"
     seed (name v.target) (Chaos.to_spec v.original) (Chaos.to_spec v.minimal)
-    v.message (replay v)
+    v.message (replay ~seed v)

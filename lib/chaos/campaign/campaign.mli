@@ -69,8 +69,9 @@ val run :
     first violation and returns it shrunk with
     [Shrink.minimize ~step:Chaos.halve]. *)
 
-val replay : violation -> string
-(** The command line that replays the shrunk plan. *)
+val replay : seed:int -> violation -> string
+(** The command line that replays the shrunk plan on the campaign's [seed]:
+    the seed picks the workload the plan ran against. *)
 
 val repro : seed:int -> violation -> string
 (** The text of a repro file: seed, target, both plans, the violation and

@@ -9,6 +9,7 @@ module Token_game = Ermes_tmg.Token_game
 module Firing = Ermes_tmg.Firing
 module Verify = Ermes_verify.Verify
 module Soc_rtl = Ermes_rtl.Soc_rtl
+module Obs = Ermes_obs.Obs
 
 type verdict = Live of Ratio.t | Dead
 
@@ -37,21 +38,26 @@ let check_certificate add fresh name cert =
 let check_karp add tmg =
   let saved = List.map (fun p -> (p, Tmg.tokens tmg p)) (Tmg.places tmg) in
   List.iter (fun (p, _) -> Tmg.set_tokens tmg p 1) saved;
-  let karp = Csr.karp_unit_certified (Csr.of_tmg tmg) in
-  let fresh = Csr.of_tmg tmg in
-  check_certificate add fresh "karp" (Verify.of_certified fresh karp);
-  let add fmt = Printf.ksprintf add fmt in
-  (match (Csr.cycle_time tmg, karp) with
-  | Ok h, Ok (k, _, _) ->
-    if not (Ratio.equal h.Csr.cycle_time k) then
-      add "karp: unit-token cycle mean %s, howard says %s" (rs k)
-        (rs h.Csr.cycle_time)
-  | Error Csr.No_cycle, Error _ -> ()
-  | Error (Csr.Deadlock _), _ -> add "howard: deadlock on a unit-token net"
-  | Ok h, Error _ ->
-    add "karp: no cycle where howard found cycle time %s" (rs h.Csr.cycle_time)
-  | Error Csr.No_cycle, Ok (k, _, _) ->
-    add "karp: cycle mean %s where howard found no cycle" (rs k));
+  let karp =
+    Obs.span "differential.karp" @@ fun () ->
+    let karp = Csr.karp_unit_certified (Csr.of_tmg tmg) in
+    let add fmt = Printf.ksprintf add fmt in
+    (match (Csr.cycle_time tmg, karp) with
+    | Ok h, Ok (k, _, _) ->
+      if not (Ratio.equal h.Csr.cycle_time k) then
+        add "karp: unit-token cycle mean %s, howard says %s" (rs k)
+          (rs h.Csr.cycle_time)
+    | Error Csr.No_cycle, Error _ -> ()
+    | Error (Csr.Deadlock _), _ -> add "howard: deadlock on a unit-token net"
+    | Ok h, Error _ ->
+      add "karp: no cycle where howard found cycle time %s" (rs h.Csr.cycle_time)
+    | Error Csr.No_cycle, Ok (k, _, _) ->
+      add "karp: cycle mean %s where howard found no cycle" (rs k));
+    karp
+  in
+  Obs.span "differential.certificates" (fun () ->
+      let fresh = Csr.of_tmg tmg in
+      check_certificate add fresh "karp" (Verify.of_certified fresh karp));
   List.iter (fun (p, t) -> Tmg.set_tokens tmg p t) saved
 
 let check_token_game add tmg verdict =
@@ -162,9 +168,9 @@ let check_rtl add faulted scenario rounds verdict =
     let qmon = monitor_repetition faulted in
     match verdict with
     | Live ct -> (
-      (* A third of the simulator's horizon settles almost every live case;
-         escalate once before declaring the period missing, as the
-         simulator check does. *)
+      (* The same budget as the simulator's, escalated once before the
+         period is declared missing: a run stops at its first recurrence,
+         so the budget costs only what the transient takes. *)
       let rec check r escalate =
         match cosim r with
         | Soc_rtl.Rtl_period p ->
@@ -181,7 +187,7 @@ let check_rtl add faulted scenario rounds verdict =
           else add "rtl: no steady period within %d monitored iterations" r
         | exception Invalid_argument m -> add "rtl: build rejected a valid system: %s" m
       in
-      check (max 12 (rounds / 3)) true)
+      check rounds true)
     | Dead -> (
       (* As for the simulator: a deadlock verdict is global, a monitor is
          local — the system is cleared if some sink observes the stall. *)
@@ -203,7 +209,7 @@ let check_rtl add faulted scenario rounds verdict =
             rounds)
   end
 
-let run_case ?(rounds = 96) ?(rtl = true) sys scenario =
+let run_case ?(rounds = 384) ?(rtl = true) sys scenario =
   let mismatches = ref [] in
   let record s = mismatches := s :: !mismatches in
   let add fmt = Printf.ksprintf record fmt in
@@ -218,8 +224,10 @@ let run_case ?(rounds = 96) ?(rtl = true) sys scenario =
     let m = To_tmg.build faulted in
     Fault.remove_tokens m scenario;
     let tmg = m.To_tmg.tmg in
-    let dead_per_liveness = Liveness.find_dead_cycle tmg <> None in
-    let howard_raw = Csr.cycle_time tmg in
+    let dead_per_liveness =
+      Obs.span "differential.liveness" (fun () -> Liveness.find_dead_cycle tmg <> None)
+    in
+    let howard_raw = Obs.span "differential.howard" (fun () -> Csr.cycle_time tmg) in
     let verdict =
       match howard_raw with
       | Ok h -> Some (Live h.Csr.cycle_time)
@@ -228,11 +236,14 @@ let run_case ?(rounds = 96) ?(rtl = true) sys scenario =
         add "howard: no cycle in the TMG of a valid system";
         None
     in
-    let lawler = Csr.lawler_certified (Csr.of_tmg tmg) in
-    let fresh = Csr.of_tmg tmg in
-    check_certificate record fresh "howard" (Verify.of_howard_csr fresh howard_raw);
-    check_certificate record fresh "lawler" (Verify.of_certified fresh lawler);
-    check_certificate record fresh "liveness" (Verify.of_liveness tmg);
+    let lawler =
+      Obs.span "differential.lawler" (fun () -> Csr.lawler_certified (Csr.of_tmg tmg))
+    in
+    Obs.span "differential.certificates" (fun () ->
+        let fresh = Csr.of_tmg tmg in
+        check_certificate record fresh "howard" (Verify.of_howard_csr fresh howard_raw);
+        check_certificate record fresh "lawler" (Verify.of_certified fresh lawler);
+        check_certificate record fresh "liveness" (Verify.of_liveness tmg));
     (match (verdict, dead_per_liveness) with
     | Some Dead, false -> add "liveness: howard reports deadlock, commoner finds no token-free cycle"
     | Some (Live ct), true ->
@@ -251,11 +262,13 @@ let run_case ?(rounds = 96) ?(rtl = true) sys scenario =
     check_karp record tmg;
     (match verdict with
     | Some v ->
-      check_token_game record tmg v;
+      Obs.span "differential.token_game" (fun () -> check_token_game record tmg v);
       (* Firing raises on non-live nets; skip it when the liveness oracles
          already disagree (the mismatch is recorded above). *)
-      if (v = Dead) = dead_per_liveness then check_firing record tmg rounds v;
-      check_sim record faulted scenario rounds v;
-      if rtl then check_rtl record faulted scenario rounds v
+      if (v = Dead) = dead_per_liveness then
+        Obs.span "differential.firing" (fun () -> check_firing record tmg rounds v);
+      Obs.span "differential.sim" (fun () -> check_sim record faulted scenario rounds v);
+      if rtl then
+        Obs.span "differential.rtl" (fun () -> check_rtl record faulted scenario rounds v)
     | None -> ());
     { verdict; mismatches = List.rev !mismatches }

@@ -30,12 +30,16 @@ type report = {
 val run_case : ?rounds:int -> ?rtl:bool -> System.t -> Fault.scenario -> report
 (** [run_case sys scenario] applies the scenario (structural faults rebuild
     the system, dynamic faults go through simulator hooks and TMG marking
-    edits) and cross-checks every oracle. [rounds] (default 96) is the
-    number of monitored iterations the simulator and the firing schedule
-    use; it is escalated automatically before a missing steady-state period
-    is reported as a mismatch. Transient stalls extend the simulator's
-    watchdog budget by {!Fault.stall_budget} so they cannot be misread as
-    livelock.
+    edits) and cross-checks every oracle, each in an [Obs] span of its own
+    ([differential.howard], [.lawler], [.karp], [.liveness],
+    [.certificates], [.token_game], [.firing], [.sim], [.rtl]). [rounds]
+    (default 384) is a budget, not a window: the simulator, the RTL and the
+    firing schedule stop at the first recurrence of their whole state,
+    which proves the period ({!Ermes_tmg.Recurrence}). One with no
+    recurrence within the budget gets four times as much before a missing
+    period is reported as a mismatch. Transient stalls extend the
+    simulator's watchdog budget by {!Fault.stall_budget} so they cannot be
+    misread as livelock.
 
     [rtl] (default true) additionally co-simulates the generated RTL
     control skeleton of the faulted design and diffs its steady period (or

@@ -95,22 +95,14 @@ let stuck_processes scenario =
   |> List.sort_uniq compare
 
 let hooks scenario =
-  let stalls =
-    List.filter_map
-      (function
-        | Channel_stall { channel; at_transfer; cycles } ->
-          Some (channel, at_transfer, cycles)
-        | _ -> None)
-      scenario
-  in
-  let stuck = stuck_processes scenario in
   {
-    Sim.stall =
-      (fun c k ->
-        List.fold_left
-          (fun acc (c', k', cycles) -> if c' = c && k' = k then acc + cycles else acc)
-          0 stalls);
-    stuck = (fun p -> List.mem p stuck);
+    Sim.stalls =
+      List.filter_map
+        (function
+          | Channel_stall { channel; at_transfer; cycles } -> Some (channel, at_transfer, cycles)
+          | _ -> None)
+        scenario;
+    stuck = stuck_processes scenario;
   }
 
 let stall_budget scenario =

@@ -54,9 +54,9 @@ val apply : System.t -> scenario -> System.t
     stay well-formed (process ≥ 0, channel ≥ 1, FIFO depth ≥ 1). *)
 
 val hooks : scenario -> Ermes_slm.Sim.hooks
-(** Simulator hooks realizing the dynamic faults of [scenario]: stall cycles
-    add up per (channel, transfer index), and a [Token_removal] marks its
-    process stuck. *)
+(** Simulator hooks realizing the dynamic faults of [scenario]: the stall
+    schedule (cycles add up per channel and transfer index), and every
+    [Token_removal] process marked stuck. *)
 
 val stall_budget : scenario -> int
 (** Total extra cycles the [Channel_stall] faults can inject — add it to the

@@ -15,7 +15,7 @@ type config = {
 }
 
 let default =
-  { seed = 1; cases = 100; max_processes = 12; rounds = 96; rtl = true; repro_dir = Some "." }
+  { seed = 1; cases = 100; max_processes = 12; rounds = 384; rtl = true; repro_dir = Some "." }
 
 type failure = {
   case : int;

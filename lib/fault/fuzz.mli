@@ -24,14 +24,17 @@ type config = {
   seed : int;
   cases : int;
   max_processes : int;  (** per generated system, ≥ 4 *)
-  rounds : int;  (** simulator/firing horizon per case *)
+  rounds : int;
+      (** per case, the budget of monitored iterations (firing rounds) the
+          simulator, the RTL and the firing schedule get to prove their
+          period by a state recurrence; escalated once, ×4 *)
   rtl : bool;  (** co-simulate the RTL control skeleton as the ninth oracle *)
   repro_dir : string option;  (** where repro files land; [None] disables *)
 }
 
 val default : config
-(** seed 1, 100 cases, ≤ 12 processes, 96 rounds, RTL oracle on, repros in
-    the current directory. *)
+(** seed 1, 100 cases, ≤ 12 processes, a budget of 384 rounds, RTL oracle
+    on, repros in the current directory. *)
 
 type failure = {
   case : int;  (** 0-based case index (deterministic per seed) *)

@@ -1,5 +1,6 @@
 module System = Ermes_slm.System
 module Sim = Ermes_slm.Sim
+module Recurrence = Ermes_tmg.Recurrence
 module Obs = Ermes_obs.Obs
 module B = Ir.Builder
 
@@ -296,6 +297,7 @@ type measurement =
 
 let cosim ?(rounds = 48) ?max_cycles ?monitor sys =
   Obs.incr "rtl.cosim.runs";
+  Obs.incr ~by:0 "rtl.cosim.recurrences";
   let rtl = build sys in
   let ip = Interp.create rtl.design in
   let monitor =
@@ -312,18 +314,33 @@ let cosim ?(rounds = 48) ?max_cycles ?monitor sys =
     | None -> Sim.default_max_cycles ~max_iterations:rounds sys
   in
   let iter = rtl.iterations_of.(monitor) in
-  let completions = ref [] in
+  (* The design is closed, so its registers are its whole state; the
+     free-running iteration counters only count, and stay out. *)
+  let counters = Array.to_list rtl.iterations_of in
+  let state_regs =
+    Array.to_seqi rtl.design.Ir.signals
+    |> Seq.filter_map (fun (s, info) ->
+           match info.Ir.kind with
+           | Ir.Reg _ when not (List.mem s counters) -> Some s
+           | Ir.Reg _ | Ir.Input | Ir.Wire _ -> None)
+    |> Array.of_seq
+  in
+  let seen_states = Recurrence.create () in
+  let period = ref None in
   let seen = ref 0 in
   let cycles = ref 0 in
   let stuck = ref false in
-  while (not !stuck) && !seen < rounds && !cycles < max_cycles do
+  while (not !stuck) && !period = None && !seen < rounds && !cycles < max_cycles do
     Interp.step ip;
     incr cycles;
     let v = Interp.peek ip iter in
     if v > !seen then begin
       (* At most one completion per cycle by construction. *)
-      completions := !cycles :: !completions;
-      seen := v
+      seen := v;
+      period :=
+        Recurrence.observe seen_states
+          (Array.map (Interp.peek ip) state_regs)
+          ~iteration:v ~time:!cycles
     end
     else if Interp.settled ip then
       (* The design is closed (no inputs): a step that commits no register
@@ -332,11 +349,13 @@ let cosim ?(rounds = 48) ?max_cycles ?monitor sys =
       stuck := true
   done;
   Obs.incr ~by:!cycles "rtl.interp.cycles";
-  if !seen < rounds then Rtl_exhausted { cycles = !cycles; iterations = !seen }
-  else
-    match Sim.detect_period (List.rev !completions) with
-    | Some p -> Rtl_period p
-    | None -> Rtl_no_period
+  match !period with
+  | Some p ->
+    Obs.incr "rtl.cosim.recurrences";
+    Rtl_period p
+  | None ->
+    if !seen < rounds then Rtl_exhausted { cycles = !cycles; iterations = !seen }
+    else Rtl_no_period
 
 let measured_cycle_time ?(rounds = 48) ?(max_cycles = 200_000) sys =
   match cosim ~rounds ~max_cycles sys with

@@ -45,10 +45,10 @@ val build : System.t -> t
 type measurement =
   | Rtl_period of Ermes_tmg.Ratio.t
       (** exact steady-state period of the monitor's completion times, per
-          monitor iteration *)
+          monitor iteration, proved by a recurrence of the register state *)
   | Rtl_no_period
-      (** the monitor completed every round but its completion times are not
-          eventually periodic within the window — raise [rounds] *)
+      (** the monitor completed [rounds] iterations and no register state
+          recurred — raise [rounds]; never a guessed period *)
   | Rtl_exhausted of { cycles : int; iterations : int }
       (** the horizon was exhausted (or the design reached a register-level
           fixed point) after [cycles] cycles with only [iterations] monitor
@@ -56,22 +56,25 @@ type measurement =
 
 val cosim :
   ?rounds:int -> ?max_cycles:int -> ?monitor:System.process -> System.t -> measurement
-(** [cosim sys] interprets the generated RTL until [monitor] (default: the
-    first sink) completes [rounds] iterations (default 48) and classifies
-    the run. [max_cycles] defaults to {!Ermes_slm.Sim.default_max_cycles}
-    for the same [rounds] — the budget the discrete-event simulator would
-    get. A step that changes no register short-circuits to
-    [Rtl_exhausted]: the design is closed, so a settled step is a permanent
-    deadlock. Counts [rtl.cosim.runs] and [rtl.interp.cycles] on
-    {!Ermes_obs.Obs}.
+(** [cosim sys] interprets the generated RTL and, at each completed
+    iteration of [monitor] (default: the first sink), records the register
+    vector minus the free-running [it_*] iteration counters. The design is
+    closed, so that vector is its whole state: the first repeated vector
+    proves the period ({!Ermes_tmg.Recurrence}) and ends the run. [rounds]
+    (default 48) is a budget of monitor iterations, not a window: with no
+    recurrence within it the answer is [Rtl_no_period]. [max_cycles]
+    defaults to {!Ermes_slm.Sim.default_max_cycles} for the same [rounds]
+    — the budget the discrete-event simulator would get. A step that
+    changes no register short-circuits to [Rtl_exhausted]: a settled step
+    is a permanent deadlock. Counts [rtl.cosim.runs],
+    [rtl.cosim.recurrences] and [rtl.interp.cycles] on {!Ermes_obs.Obs}.
     @raise Invalid_argument as {!build}, or when the system has no sink and
     no [monitor] was given. *)
 
 val measured_cycle_time :
   ?rounds:int -> ?max_cycles:int -> System.t -> Ermes_tmg.Ratio.t option
-(** [Some p] iff {!cosim} finds a steady period: interpret the generated RTL
-    until the first sink completes [rounds] iterations (default 48) and
-    detect the exact steady-state period of its completion times, as
-    {!Ermes_slm.Sim.steady_cycle_time} does. [None] when the horizon
-    ([max_cycles], default 200,000) is exhausted first — which is what an
-    RTL-level deadlock looks like — or when no period is detected. *)
+(** [Some p] iff {!cosim} proves a steady period for the first sink within
+    [rounds] iterations (default 48), as {!Ermes_slm.Sim.steady_cycle_time}
+    does. [None] when the cycle budget ([max_cycles], default 200,000) is
+    exhausted first — which is what an RTL-level deadlock looks like — or
+    when no state recurs within [rounds]. *)

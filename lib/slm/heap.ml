@@ -43,3 +43,9 @@ let pop_min h =
     if not (Vec.is_empty h) then sift_down h 0;
     Some top
   end
+
+let iter f h =
+  for i = 0 to Vec.length h - 1 do
+    let k, v = Vec.get h i in
+    f k v
+  done

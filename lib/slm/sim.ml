@@ -1,4 +1,5 @@
 module Ratio = Ermes_tmg.Ratio
+module Recurrence = Ermes_tmg.Recurrence
 module Obs = Ermes_obs.Obs
 
 let log_src = Logs.Src.create "ermes.sim" ~doc:"discrete-event simulator"
@@ -45,11 +46,11 @@ type run = {
 }
 
 type hooks = {
-  stall : System.channel -> int -> int;
-  stuck : System.process -> bool;
+  stalls : (System.channel * int * int) list;
+  stuck : System.process list;
 }
 
-let no_hooks = { stall = (fun _ _ -> 0); stuck = (fun _ -> false) }
+let no_hooks = { stalls = []; stuck = [] }
 
 let default_max_cycles ~max_iterations sys =
   let total =
@@ -78,11 +79,21 @@ type event =
   | Enqueue_done of System.channel  (* buffered: items landed in the buffer *)
   | Dequeue_done of System.channel  (* buffered: items handed to the consumer *)
 
-let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
+let event_code = function
+  | Compute_done p -> 5 * p
+  | Transfer_done c -> (5 * c) + 1
+  | Ack_done c -> (5 * c) + 2
+  | Enqueue_done c -> (5 * c) + 3
+  | Dequeue_done c -> (5 * c) + 4
+
+(* One simulation. With [recur], the state is offered to a
+   {!Ermes_tmg.Recurrence} table after every event that completes a monitor
+   iteration, and the first repeated state ends the run with its period. *)
+let simulate ~caller ~recur ?monitor ~max_iterations ?max_cycles ~hooks sys =
   List.iter
     (fun c -> Obs.incr ~by:0 ("sim." ^ c))
     [
-      "runs"; "cycles"; "completions"; "deadlocks"; "timeouts";
+      "runs"; "cycles"; "completions"; "deadlocks"; "timeouts"; "recurrences";
       "blocked_on_get_cycles"; "blocked_on_put_cycles";
     ];
   let np = System.process_count sys and nc = System.channel_count sys in
@@ -92,7 +103,7 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
     | None -> (
       match System.sinks sys with
       | s :: _ -> Ok s
-      | [] -> Error "Sim.run: system has no sink to monitor")
+      | [] -> Error (caller ^ ": system has no sink to monitor"))
   with
   | Error _ as e -> e
   | Ok monitor ->
@@ -132,8 +143,18 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
     let items = Array.make nc 0 in
     let enq_busy = Array.make nc false in
     let deq_busy = Array.make nc false in
-    (* Per-channel transfer counter, for the stall hook. *)
+    (* Per-channel transfer counter, for the stall hook, and the index of
+       each channel's last stalled transfer: until every channel has passed
+       its own, the future depends on the counters, so no state is
+       compared. *)
     let transfers = Array.make nc 0 in
+    let last_stall = Array.make nc (-1) in
+    List.iter (fun (c, k, _) -> last_stall.(c) <- max last_stall.(c) k) hooks.stalls;
+    let stalls_ahead =
+      ref (Array.fold_left (fun n k -> if k >= 0 then n + 1 else n) 0 last_stall)
+    in
+    let stuck = Array.make np false in
+    List.iter (fun p -> stuck.(p) <- true) hooks.stuck;
     List.iter
       (fun c ->
         match System.channel_kind sys c with
@@ -148,7 +169,16 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
     let transfer_latency c =
       let k = transfers.(c) in
       transfers.(c) <- k + 1;
-      System.channel_latency sys c + max 0 (hooks.stall c k)
+      if k > last_stall.(c) then System.channel_latency sys c
+      else begin
+        if k = last_stall.(c) then decr stalls_ahead;
+        let extra =
+          List.fold_left
+            (fun acc (c', k', cycles) -> if c' = c && k' = k then acc + cycles else acc)
+            0 hooks.stalls
+        in
+        System.channel_latency sys c + max 0 extra
+      end
     in
     let begin_get c =
       waiting_get.(c) <- true;
@@ -231,10 +261,37 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
       enter p
     in
     for p = 0 to np - 1 do
-      if not (hooks.stuck p) then enter p
+      if not stuck.(p) then enter p
     done;
+    (* The whole state, times relative to now: every pc; per channel its
+       flags, credits and items; the pending events in heap order. The
+       accounting arrays and the transfer counters (once no stall is ahead)
+       do not steer the future and stay out. *)
+    let state () =
+      let a = Array.make (np + (3 * nc) + (2 * Heap.size events)) 0 in
+      Array.blit pc 0 a 0 np;
+      for c = 0 to nc - 1 do
+        let b = np + (3 * c) in
+        let bit f v = if f.(c) then v else 0 in
+        a.(b) <-
+          bit waiting_get 1 + bit waiting_put 2 + bit transfer_active 4 + bit enq_busy 8
+          + bit deq_busy 16;
+        a.(b + 1) <- credits.(c);
+        a.(b + 2) <- items.(c)
+      done;
+      let i = ref (np + (3 * nc)) in
+      Heap.iter
+        (fun t ev ->
+          a.(!i) <- t - !now;
+          a.(!i + 1) <- event_code ev;
+          i := !i + 2)
+        events;
+      a
+    in
+    let seen = Recurrence.create () in
+    let period = ref None in
     let outcome = ref None in
-    while !finished = false && !outcome = None do
+    while !finished = false && !outcome = None && !period = None do
       match Heap.pop_min events with
       | None ->
         (* No pending event: every (unstuck) process is stalled at an I/O
@@ -242,7 +299,7 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
         let blocked =
           List.filter_map
             (fun p ->
-              if hooks.stuck p then None
+              if stuck.(p) then None
               else
                 match program.(p).(pc.(p)) with
                 | Sget c -> Some { process = p; channel = c; direction = Waiting_get }
@@ -260,7 +317,8 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
                  { budget = max_cycles; monitor_iterations = iterations.(monitor) })
         else begin
           now := t;
-          match ev with
+          let before = iterations.(monitor) in
+          (match ev with
           | Compute_done p -> advance p
           | Transfer_done c ->
             (* A handshake with a positive hold keeps the channel busy until
@@ -288,7 +346,10 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
             deq_busy.(c) <- false;
             credits.(c) <- credits.(c) + consume;
             advance (System.channel_dst sys c);
-            try_match c
+            try_match c);
+          if recur && iterations.(monitor) > before && !stalls_ahead = 0 then
+            period :=
+              Recurrence.observe seen (state ()) ~iteration:iterations.(monitor) ~time:!now
         end
     done;
     (* Close the books at the final clock: processes still waiting (the
@@ -319,6 +380,7 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
     let outcome = match !outcome with None -> Completed | Some o -> o in
     Obs.incr "sim.runs";
     Obs.incr ~by:!now "sim.cycles";
+    if !period <> None then Obs.incr "sim.recurrences";
     Obs.incr
       (match outcome with
       | Completed -> "sim.completions"
@@ -334,33 +396,12 @@ let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
           | Timed_out _ -> "timed out")
           !now iterations.(monitor));
     Ok
-      { cycles = !now; iterations; completions = Array.map List.rev completions; outcome; profile }
+      ( { cycles = !now; iterations; completions = Array.map List.rev completions; outcome; profile },
+        !period )
 
-let detect_period times =
-  (* [times] oldest first. Find the smallest period c such that the tail of
-     the series satisfies t(k+c) = t(k) + delta uniformly. *)
-  let arr = Array.of_list times in
-  let n = Array.length arr in
-  if n < 4 then None
-  else begin
-    let half = n / 2 in
-    let ok c =
-      if c < 1 || half + c > n then None
-      else begin
-        let delta = arr.(n - 1) - arr.(n - 1 - c) in
-        let uniform = ref true in
-        for k = half - 1 to n - 1 - c do
-          if arr.(k + c) - arr.(k) <> delta then uniform := false
-        done;
-        if !uniform && delta > 0 then Some (Ratio.make delta c) else None
-      end
-    in
-    let rec search c =
-      if half + c > n then None
-      else match ok c with Some r -> Some r | None -> search (c + 1)
-    in
-    search 1
-  end
+let run ?monitor ?(max_iterations = 64) ?max_cycles ?(hooks = no_hooks) sys =
+  simulate ~caller:"Sim.run" ~recur:false ?monitor ~max_iterations ?max_cycles ~hooks sys
+  |> Result.map fst
 
 type measurement =
   | Period of Ratio.t
@@ -368,28 +409,14 @@ type measurement =
   | Deadlock of deadlock
   | Timeout of timeout
 
-let steady_cycle_time ?(rounds = 64) ?monitor ?max_cycles ?hooks sys =
-  match
-    match monitor with
-    | Some p -> Ok p
-    | None -> (
-      match System.sinks sys with
-      | s :: _ -> Ok s
-      | [] -> Error "Sim.steady_cycle_time: system has no sink to monitor")
-  with
-  | Error _ as e -> e
-  | Ok monitor -> (
-    match run ~monitor ~max_iterations:rounds ?max_cycles ?hooks sys with
-    | Error _ as e -> e
-    | Ok r ->
-      Ok
-        (match r.outcome with
-        | Deadlocked d -> Deadlock d
-        | Timed_out t -> Timeout t
-        | Completed -> (
-          match detect_period r.completions.(monitor) with
-          | Some p -> Period p
-          | None -> No_period)))
+let steady_cycle_time ?(rounds = 64) ?monitor ?max_cycles ?(hooks = no_hooks) sys =
+  simulate ~caller:"Sim.steady_cycle_time" ~recur:true ?monitor ~max_iterations:rounds
+    ?max_cycles ~hooks sys
+  |> Result.map (function
+       | _, Some p -> Period p
+       | { outcome = Deadlocked d; _ }, None -> Deadlock d
+       | { outcome = Timed_out t; _ }, None -> Timeout t
+       | { outcome = Completed; _ }, None -> No_period)
 
 let pp_deadlock sys ppf d =
   Format.fprintf ppf "@[<v>deadlock at cycle %d:@," d.at_cycle;

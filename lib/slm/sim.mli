@@ -73,13 +73,15 @@ type run = {
 }
 
 type hooks = {
-  stall : System.channel -> int -> int;
-      (** [stall c k] is the number of extra cycles injected into the [k]-th
-          (0-based) transfer on channel [c] — a transient channel-stall
-          fault. For FIFO channels the stall applies to the enqueue side. *)
-  stuck : System.process -> bool;
-      (** A stuck process never executes a statement: the operational face of
-          a token-removal fault (its initial enabling token is gone). *)
+  stalls : (System.channel * int * int) list;
+      (** [(c, k, extra)]: the [k]-th (0-based) transfer on channel [c]
+          takes [extra] more cycles — a transient channel-stall fault.
+          Entries for the same transfer add up; for FIFO channels the
+          stall applies to the enqueue side. The schedule is data, so a run
+          knows when the last stall has passed. *)
+  stuck : System.process list;
+      (** Stuck processes never execute a statement: the operational face
+          of a token-removal fault (their initial enabling token is gone). *)
 }
 
 val no_hooks : hooks
@@ -102,22 +104,17 @@ val run :
 (** [run sys] simulates until the [monitor] process (default: the first sink)
     completes [max_iterations] iterations (default 64), the system deadlocks,
     or the watchdog budget [max_cycles] (default {!default_max_cycles}) is
-    exhausted. [Error] if the system has no sink and no [monitor] was
+    exhausted; it never stops early at a recurrence, so the profile covers
+    the whole run. [Error] if the system has no sink and no [monitor] was
     given. *)
-
-val detect_period : int list -> Ermes_tmg.Ratio.t option
-(** [detect_period times] — the steady period of a monitor's completion
-    cycles, oldest first: the first [c] for which the second half of the
-    series satisfies [t(k+c) = t(k) + delta] uniformly, as [delta/c].
-    [None] with fewer than 4 completions or no such [c]. Shared with the
-    RTL co-simulation ({!Ermes_rtl.Soc_rtl.cosim}). *)
 
 type measurement =
   | Period of Ermes_tmg.Ratio.t
-      (** exact steady-state cycle time of the monitored process *)
+      (** exact steady-state cycle time of the monitored process, proved by
+          a recurrence of the whole simulation state *)
   | No_period
-      (** the run completed but no exact periodicity was detected within the
-          horizon — raise [rounds] *)
+      (** the monitor completed [rounds] iterations and no state recurred —
+          raise [rounds]; never a guessed period *)
   | Deadlock of deadlock
   | Timeout of timeout
 
@@ -128,10 +125,19 @@ val steady_cycle_time :
   ?hooks:hooks ->
   System.t ->
   (measurement, string) result
-(** Measured steady-state cycle time: simulate [rounds] iterations (default
-    64) of the monitored process and detect the exact period of its
-    completion times, as in {!Ermes_tmg.Firing.measured_cycle_time}.
-    [Error] only for structural problems (no sink to monitor). *)
+(** Measured steady-state cycle time. After every event that completes an
+    iteration of the monitor, the simulator records its whole state, times
+    relative to now: every process's program counter, each channel's flags,
+    credits and items, and the pending events in heap order. It records
+    nothing while a scheduled stall is still ahead. A deterministic closed
+    system whose state recurs is exactly periodic from then on
+    ({!Ermes_tmg.Recurrence}), so the first repeated state ends the run and
+    its period per monitor iteration is the answer, as
+    {!Ermes_tmg.Firing.measured_cycle_time} does on the TMG. [rounds]
+    (default 64) is a budget of monitor iterations, not a window: if no
+    state recurs within it the answer is [No_period]. Counts
+    [sim.recurrences] on {!Ermes_obs.Obs}. [Error] only for structural
+    problems (no sink to monitor). *)
 
 val pp_deadlock : System.t -> Format.formatter -> deadlock -> unit
 val pp_timeout : Format.formatter -> timeout -> unit

@@ -1118,24 +1118,33 @@ let karp_unit (g : t) =
             done
         done
       done;
-      (* lambda* = max_v min_k (d_n(v) - d_k(v)) / (n - k). *)
+      (* lambda* = max_v min_k (d_n(v) - d_k(v)) / (n - k). Candidates are
+         compared by cross-multiplication (every denominator is positive),
+         and only the component's maximum becomes a normalised ratio. *)
+      let cnum = ref 0 and cden = ref 0 in
       for v = 0 to nc - 1 do
         if d.(nc).(v) > neg then begin
-          let vmin = ref None in
+          let vnum = ref 0 and vden = ref 0 in
           for k = 0 to nc - 1 do
             if d.(k).(v) > neg then begin
-              let r = Ratio.make (d.(nc).(v) - d.(k).(v)) (nc - k) in
-              match !vmin with
-              | None -> vmin := Some r
-              | Some r0 -> if Ratio.(r < r0) then vmin := Some r
+              let num = d.(nc).(v) - d.(k).(v) and den = nc - k in
+              if !vden = 0 || num * !vden < !vnum * den then begin
+                vnum := num;
+                vden := den
+              end
             end
           done;
-          match (!vmin, !best) with
-          | Some r, None -> best := Some r
-          | Some r, Some b -> if Ratio.(r > b) then best := Some r
-          | None, _ -> ()
+          (* d_0(v) = 0 is finite, so [vden] is set. *)
+          if !cden = 0 || !vnum * !cden > !cnum * !vden then begin
+            cnum := !vnum;
+            cden := !vden
+          end
         end
-      done
+      done;
+      if !cden > 0 then begin
+        let r = Ratio.make !cnum !cden in
+        best := Some (match !best with Some b -> Ratio.max b r | None -> r)
+      end
     end
   done;
   !best

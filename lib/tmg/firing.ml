@@ -1,5 +1,6 @@
 module Traversal = Ermes_digraph.Traversal
 module Digraph = Ermes_digraph.Digraph
+module Obs = Ermes_obs.Obs
 
 (* Within one round k the recurrence refers to same-round values through
    token-free places, so transitions must be processed in topological order of
@@ -16,48 +17,64 @@ let zero_token_order tmg =
   | Ok order -> order
   | Error _ -> invalid_arg "Firing: net is not live (token-free cycle)"
 
+(* [fire tmg] is a function filling [row k] with round k's completion times,
+   reading earlier rounds through [row j] (j <= k; rounds j <= 0 read 0). *)
+let fire tmg =
+  let order = zero_token_order tmg in
+  fun ~row k ->
+    List.iter
+      (fun t ->
+        let ready acc p =
+          let j = k - Tmg.tokens tmg p in
+          if j <= 0 then acc else max acc (row j).(Tmg.place_src tmg p)
+        in
+        (row k).(t) <- List.fold_left ready 0 (Tmg.in_places tmg t) + Tmg.delay tmg t)
+      order
+
 let firing_times tmg ~rounds =
   if rounds < 1 then invalid_arg "Firing.firing_times: rounds must be positive";
-  let order = zero_token_order tmg in
-  let n = Tmg.transition_count tmg in
-  let x = Array.make_matrix n rounds 0 in
+  let fire = fire tmg in
+  let rows = Array.init rounds (fun _ -> Array.make (Tmg.transition_count tmg) 0) in
   for k = 1 to rounds do
-    let compute t =
-      let ready p =
-        let s = Tmg.place_src tmg p in
-        let j = k - Tmg.tokens tmg p in
-        if j <= 0 then 0 else x.(s).(j - 1)
-      in
-      let start = List.fold_left (fun acc p -> max acc (ready p)) 0 (Tmg.in_places tmg t) in
-      x.(t).(k - 1) <- start + Tmg.delay tmg t
-    in
-    List.iter compute order
+    fire ~row:(fun j -> rows.(j - 1)) k
   done;
-  x
+  Array.init (Tmg.transition_count tmg) (fun t -> Array.init rounds (fun k -> rows.(k).(t)))
 
+(* Round k + 1 reads rounds k + 1 - m .. k, m the largest marking, so those
+   m rounds relative to x_0(k) are the schedule's whole state: when they
+   recur, every later round repeats shifted by the growth of x_0. A ring of
+   m + 1 rounds keeps round k - m readable while round k is written. *)
 let measured_cycle_time tmg ~rounds =
-  let x = firing_times tmg ~rounds in
-  let n = Array.length x in
+  let n = Tmg.transition_count tmg in
   if n = 0 then None
   else begin
-    (* Find the smallest period c whose increment D is uniform across every
-       transition and every round of the second half of the horizon. *)
-    let half = rounds / 2 in
-    let period_ok c =
-      if c < 1 || half + c > rounds then None
+    Obs.incr ~by:0 "firing.recurrences";
+    let fire = fire tmg in
+    let m = List.fold_left (fun m p -> max m (Tmg.tokens tmg p)) 1 (Tmg.places tmg) in
+    let ring = Array.init (m + 1) (fun _ -> Array.make n 0) in
+    let row j = ring.(j mod (m + 1)) in
+    let seen = Recurrence.create () in
+    let rec go k =
+      if k > rounds then None
       else begin
-        let d = x.(0).(rounds - 1) - x.(0).(rounds - 1 - c) in
-        let uniform = ref true in
-        for t = 0 to n - 1 do
-          for k = half - 1 to rounds - 1 - c do
-            if x.(t).(k + c) - x.(t).(k) <> d then uniform := false
-          done
+        fire ~row k;
+        let x0 = (row k).(0) in
+        let state = Array.make (m * n) 0 in
+        for i = 0 to m - 1 do
+          if k - i > 0 then begin
+            let x = row (k - i) in
+            for t = 0 to n - 1 do
+              state.((i * n) + t) <- x.(t) - x0
+            done
+          end
+          else Array.fill state (i * n) n (-x0)
         done;
-        if !uniform then Some (Ratio.make d c) else None
+        match Recurrence.observe seen state ~iteration:k ~time:x0 with
+        | Some _ as ct ->
+          Obs.incr "firing.recurrences";
+          ct
+        | None -> go (k + 1)
       end
     in
-    let rec search c = if half + c > rounds then None else (
-      match period_ok c with Some r -> Some r | None -> search (c + 1))
-    in
-    search 1
+    go 1
   end

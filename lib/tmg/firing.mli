@@ -22,8 +22,13 @@ val firing_times : Tmg.t -> rounds:int -> int array array
     @raise Invalid_argument if [rounds < 1] or the net is not live. *)
 
 val measured_cycle_time : Tmg.t -> rounds:int -> Ratio.t option
-(** [measured_cycle_time tmg ~rounds] detects the exact asymptotic slope from
-    the firing times: it searches for the smallest period [c] such that the
-    tail of the schedule satisfies [x(k + c) = x(k) + c * ct] for every
-    transition, and returns [ct]. [None] if periodicity has not been reached
-    within [rounds] (increase the horizon). *)
+(** [measured_cycle_time tmg ~rounds] proves the exact asymptotic slope by
+    a state recurrence ({!Recurrence}). Round [k + 1] reads only the last
+    [m] rounds, [m] the largest marking, so those rounds minus [x_0(k)] are
+    the schedule's whole state; it keeps them in a ring of [m + 1] rounds,
+    not an n × [rounds] matrix. When round [k] repeats the state of round
+    [k - c] shifted by [D], every later round repeats too, and the answer
+    is [D / c]. [rounds] is a budget: [None] if no state recurs within it
+    (raise it), never a period fitted to part of the schedule. Counts
+    [firing.recurrences] on {!Ermes_obs.Obs}.
+    @raise Invalid_argument if the net is not live. *)

@@ -18,6 +18,9 @@ module Fault = Ermes_fault.Fault
 module Differential = Ermes_fault.Differential
 module Fuzz = Ermes_fault.Fuzz
 module Resilience = Ermes_fault.Resilience
+module Firing = Ermes_tmg.Firing
+module Soc_rtl = Ermes_rtl.Soc_rtl
+module Prng = Ermes_synth.Prng
 
 let find_p sys n = Option.get (System.find_process sys n)
 let find_c sys n = Option.get (System.find_channel sys n)
@@ -152,6 +155,52 @@ let test_stall_is_transient () =
   match Sim.steady_cycle_time ~max_cycles:budget ~hooks:(Fault.hooks scenario) sys with
   | Ok (Sim.Period p) -> Helpers.check_ratio "same steady period" base p
   | _ -> Alcotest.fail "stalled run did not settle"
+
+(* ---- recurrence: a period is proved or not given ---------------------------- *)
+
+(* Fuzz cases, multi-rate designs and channel stalls among them, at a
+   budget of 96 iterations, short of some transients: each engine may
+   answer "no period yet", but a period it does answer, per monitor
+   iteration times q(monitor) (Firing's is per TMG round already), is
+   Howard's ratio. *)
+let prop_recurrence_periods_exact =
+  Helpers.qtest ~count:60 "recurrence periods equal howard's ratio"
+    QCheck2.Gen.(int_range 1 1_000_000)
+    (fun seed ->
+      let sys, scenario = Fuzz.gen_case (Prng.create ~seed) ~max_processes:12 in
+      let faulted = Fault.apply sys scenario in
+      System.validate faulted <> Ok ()
+      ||
+      let m = To_tmg.build faulted in
+      Fault.remove_tokens m scenario;
+      match Csr.cycle_time m.To_tmg.tmg with
+      | Error _ -> true
+      | Ok h ->
+        let ct = h.Csr.cycle_time and rounds = 96 in
+        let q = Ratio.of_int (Differential.monitor_repetition faulted) in
+        let exact = function Some p -> Ratio.equal (Ratio.mul p q) ct | None -> true in
+        let budget = Sim.default_max_cycles ~max_iterations:rounds faulted in
+        let sim =
+          match
+            Sim.steady_cycle_time ~rounds
+              ~max_cycles:(budget + Fault.stall_budget scenario)
+              ~hooks:(Fault.hooks scenario) faulted
+          with
+          | Ok (Sim.Period p) -> Some p
+          | _ -> None
+        in
+        let rtl =
+          if Fault.stuck_processes scenario <> [] then None
+          else
+            match Soc_rtl.cosim ~rounds ~max_cycles:budget faulted with
+            | Soc_rtl.Rtl_period p -> Some p
+            | Soc_rtl.Rtl_no_period | Soc_rtl.Rtl_exhausted _ -> None
+        in
+        exact sim && exact rtl
+        &&
+        match Firing.measured_cycle_time m.To_tmg.tmg ~rounds with
+        | Some p -> Ratio.equal p ct
+        | None -> true)
 
 (* ---- watchdog and structured errors -------------------------------------- *)
 
@@ -373,6 +422,7 @@ let () =
       ( "token-removal",
         [ Alcotest.test_case "liveness = howard = watchdog" `Quick test_token_removal_agreement ] );
       ( "stall", [ Alcotest.test_case "transient only" `Quick test_stall_is_transient ] );
+      ("recurrence", [ prop_recurrence_periods_exact ]);
       ( "watchdog",
         [
           Alcotest.test_case "sink-less is a structured error" `Quick

@@ -166,8 +166,14 @@ let test_soc_rtl_verilog_wellformed () =
 
 (* ---- soc rtl: co-simulation ------------------------------------------------------ *)
 
+(* Both runs stop at the first recurrence of their state; 1,024 iterations
+   is a budget that slowly filling buffers need, not a window. *)
 let rtl_matches_des sys =
-  match (Soc_rtl.measured_cycle_time ~rounds:32 sys, Sim.steady_cycle_time ~rounds:32 sys) with
+  let rounds = 1024 in
+  let max_cycles = Sim.default_max_cycles ~max_iterations:rounds sys in
+  match
+    (Soc_rtl.measured_cycle_time ~rounds ~max_cycles sys, Sim.steady_cycle_time ~rounds sys)
+  with
   | Some rtl, Ok (Sim.Period des) -> Ratio.equal rtl des
   | None, Ok (Sim.Deadlock _) -> true  (* both deadlock *)
   | _ -> false
@@ -215,6 +221,44 @@ let test_soc_rtl_horizon () =
   (* A deadlocking system never completes its rounds: None. *)
   Alcotest.(check bool) "stalls reported as None" true
     (Soc_rtl.measured_cycle_time ~rounds:4 ~max_cycles:500 (Motivating.deadlocking ()) = None)
+
+(* src (period 10) feeds snk (period 11) through a 20-deep FIFO. The
+   sink's completions are 11 apart from the start, but the buffer gains an
+   item every ten of them, so the whole state recurs only once it is full,
+   after about 200 iterations. Before that every engine must answer "no
+   period yet", never the period the completions suggest. *)
+let test_recurrence_not_window () =
+  let sys = System.create ~name:"fill" () in
+  let src = System.add_simple_process sys ~latency:9 ~area:0. "src" in
+  let snk = System.add_simple_process sys ~latency:10 ~area:0. "snk" in
+  let c = System.add_channel sys ~name:"c" ~src ~dst:snk ~latency:1 in
+  System.set_channel_kind sys c (System.Fifo 20);
+  let eleven = Ratio.of_int 11 in
+  let tmg = (Ermes_slm.To_tmg.build sys).Ermes_slm.To_tmg.tmg in
+  (match Ermes_tmg.Csr.cycle_time tmg with
+  | Ok h -> Alcotest.(check bool) "howard: 11" true (Ratio.equal h.Ermes_tmg.Csr.cycle_time eleven)
+  | Error _ -> Alcotest.fail "howard: no cycle time");
+  let sim rounds =
+    match Sim.steady_cycle_time ~rounds sys with
+    | Ok (Sim.Period p) -> Some p
+    | Ok Sim.No_period -> None
+    | _ -> Alcotest.fail "sim: deadlock or timeout"
+  in
+  let rtl rounds =
+    let max_cycles = Sim.default_max_cycles ~max_iterations:rounds sys in
+    match Soc_rtl.cosim ~rounds ~max_cycles sys with
+    | Soc_rtl.Rtl_period p -> Some p
+    | Soc_rtl.Rtl_no_period -> None
+    | Soc_rtl.Rtl_exhausted _ -> Alcotest.fail "rtl: stalled"
+  in
+  let firing rounds = Ermes_tmg.Firing.measured_cycle_time tmg ~rounds in
+  List.iter
+    (fun (name, engine) ->
+      Alcotest.(check bool) (name ^ ": no period at 16") true (engine 16 = None);
+      match engine 1024 with
+      | Some p -> Alcotest.(check bool) (name ^ ": 11 at 1024") true (Ratio.equal p eleven)
+      | None -> Alcotest.fail (name ^ ": no period at 1024"))
+    [ ("sim", sim); ("rtl", rtl); ("firing", firing) ]
 
 let test_soc_rtl_limits () =
   (* Rejections name the offending process/channel and its kind: a refused
@@ -377,6 +421,7 @@ let () =
           Alcotest.test_case "interp determinism" `Quick test_interp_determinism;
           Alcotest.test_case "limits" `Quick test_soc_rtl_limits;
           Alcotest.test_case "degenerate kinds bit-identical" `Quick test_soc_rtl_degeneracy;
+          Alcotest.test_case "recurrence, not a window" `Quick test_recurrence_not_window;
         ] );
       ( "property",
         [

@@ -729,6 +729,20 @@ let test_campaign_serve () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* A violation found at one seed replays at that seed: the seed picks the
+   workload the plan ran against, so a replay line without it runs seed 1. *)
+let test_campaign_replay_seed () =
+  let plan =
+    match Chaos.parse_spec "enospc@4" with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  let v =
+    { Campaign.target = Campaign.Dse; original = plan; minimal = plan; message = "differs" }
+  in
+  let line = "ermes chaos --seed 55 --target dse --plan 'enospc@4'" in
+  Alcotest.(check string) "replay line" line (Campaign.replay ~seed:55 v);
+  Alcotest.(check bool) "repro file carries it" true
+    (Astring_contains.contains (Campaign.repro ~seed:55 v) ("replay: " ^ line ^ "\n"))
+
 let dse_resume_prop =
   Helpers.qtest ~count:8 "dse: resume(kill point) == uninterrupted run"
     QCheck2.Gen.(pair Helpers.feedback_system_gen (pair (int_range 0 1000) (int_range 0 2)))
@@ -1085,6 +1099,8 @@ let () =
         @ [
             Alcotest.test_case "serve survives a socket plan" `Quick
               test_campaign_serve;
+            Alcotest.test_case "replay line keeps the seed" `Quick
+              test_campaign_replay_seed;
           ] );
       ( "checkpoint",
         [

@@ -81,7 +81,7 @@ let prop_generated_valid_and_live =
 let prop_generated_simulates =
   Helpers.qtest ~count:25 "generated systems simulate to the analytic rate"
     Helpers.feedback_system_gen (fun sys ->
-      match (Perf.analyze sys, Ermes_slm.Sim.steady_cycle_time ~rounds:96 sys) with
+      match (Perf.analyze sys, Ermes_slm.Sim.steady_cycle_time ~rounds:4096 sys) with
       | Ok a, Ok (Ermes_slm.Sim.Period m) -> Ermes_tmg.Ratio.equal a.Perf.cycle_time m
       | _ -> false)
 
