@@ -14,7 +14,9 @@
    recursive walk blew the OCaml stack. The exact certification starts from
    Howard's own values, so chained rings of different ratios hold cold and
    warm answers and certificates to enumeration and the checker, and a mesh
-   SoC holds the certification to one scan per transition. *)
+   SoC holds the certification to one scan per transition. Finally, one
+   digest per family pins every answer Howard gives on a fixed corpus,
+   iteration counts and potentials included. *)
 
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
@@ -246,6 +248,126 @@ let test_mesh_certify_scans () =
   | Ok fresh -> ignore (solve_counted "warm" fresh.Csr.cycle_time)
   | Error _ -> fail "the edited mesh is live and cyclic"
 
+(* ---- Howard's answers, pinned ------------------------------------------- *)
+
+(* Every answer Howard gives on a fixed corpus, folded into one digest per
+   family: the ratio, both iteration counts, the witness and the
+   potentials of a cold solve, and of a warm re-solve after each of five
+   seeded delay or rewire edits. The properties above check only what the
+   equivalence contract promises; these digests also pin the trajectory
+   (rounds, tie-breaks, the reported cycle, Howard's values through the
+   seeded potentials), so a rework of the solver's internals that claims
+   bit-identical answers is held to it. A rewire moves a place between
+   random endpoints, which merges and splits components, and on the random
+   nets may leave the net deadlocked or acyclic; those verdicts are folded
+   in too. *)
+
+module Prng = Ermes_synth.Prng
+
+let fold_answer b answer =
+  let one = Buffer.create 256 in
+  let places ps = String.concat "," (List.map string_of_int ps) in
+  (match answer with
+  | Ok r ->
+    Printf.bprintf one "ok %s %d %d [%s] [" (Ratio.to_string r.Csr.cycle_time)
+      r.Csr.howard_iterations r.Csr.cancel_iterations (places r.Csr.critical_places);
+    Array.iter (Printf.bprintf one "%d,") r.Csr.potentials;
+    Buffer.add_char one ']'
+  | Error (Csr.Deadlock d) ->
+    Printf.bprintf one "deadlock [%s]" (places d.Liveness.dead_places)
+  | Error Csr.No_cycle -> Buffer.add_string one "no-cycle");
+  Buffer.add_string b (Digest.to_hex (Digest.string (Buffer.contents one)))
+
+(* A cold solve of [tmg], then five edits each followed by a warm solve of
+   the same solver. A rewired place gets [lo_tokens..2] tokens: at 1 it
+   cannot close a token-free cycle, so the large families stay live. *)
+let solve_edited b rng ~lo_tokens ~max_delay tmg =
+  let solver = Csr.make_solver tmg in
+  fold_answer b (Csr.solve solver);
+  for _ = 1 to 5 do
+    let n = Tmg.transition_count tmg and m = Tmg.place_count tmg in
+    let pick k = Prng.int_range rng ~lo:0 ~hi:(k - 1) in
+    (if Prng.bool_with rng ~probability:0.5 then begin
+       let delay = Prng.int_range rng ~lo:0 ~hi:max_delay in
+       Tmg.set_delay tmg (pick n) delay
+     end
+     else
+       let p = pick m in
+       let tokens = Prng.int_range rng ~lo:lo_tokens ~hi:2 in
+       let dst = pick n in
+       Tmg.rewire_place tmg p ~src:(pick n) ~dst ~tokens ());
+    fold_answer b (Csr.solve solver)
+  done
+
+(* Ring-plus-chords nets of 2-40 transitions; the delay range varies from
+   net to net so that some rounds are decided by ties and some by large,
+   inexact ratios. *)
+let random_net rng =
+  let n = Prng.int_range rng ~lo:2 ~hi:40 in
+  let max_delay = Prng.pick rng [ 9; 1_000; 1_000_000 ] in
+  let delay () = Prng.int_range rng ~lo:0 ~hi:max_delay in
+  let tokens () = Prng.int_range rng ~lo:0 ~hi:2 in
+  let chords =
+    List.init (Prng.int_range rng ~lo:0 ~hi:(2 * n)) (fun _ ->
+        let s = Prng.int_range rng ~lo:0 ~hi:(n - 1) in
+        let t = tokens () in
+        (s, Prng.int_range rng ~lo:0 ~hi:(n - 1), t))
+  in
+  let ring_tokens = List.init n (fun _ -> tokens ()) in
+  let delays = List.init n (fun _ -> delay ()) in
+  (Helpers.build_tmg (delays, ring_tokens, chords), max_delay)
+
+let mesh side =
+  (To_tmg.build (Generate.mesh_system ~seed:1 ~rows:side ~cols:side ())).To_tmg.tmg
+
+let scaled (processes, channels) =
+  (To_tmg.build (Generate.scaled ~processes ~channels ())).To_tmg.tmg
+
+let pinned_families =
+  [
+    ( "random nets",
+      "805e836f15a4e35a4695a5691a3ac712",
+      fun b ->
+        let rng = Prng.create ~seed:2026 in
+        for _ = 1 to 400 do
+          let tmg, max_delay = random_net rng in
+          solve_edited b rng ~lo_tokens:0 ~max_delay tmg
+        done );
+    ( "100x100 torus",
+      "ab7c1eb91dc36edbf6b73a340fca7baf",
+      fun b ->
+        solve_edited b (Prng.create ~seed:1) ~lo_tokens:1 ~max_delay:200
+          (Generate.torus_tmg ~rows:100 ~cols:100 ()) );
+    ( "clusters",
+      "648ad9865452851a7c201bc85207777f",
+      fun b ->
+        let rng = Prng.create ~seed:2 in
+        List.iter
+          (fun (clusters, cluster_size) ->
+            solve_edited b rng ~lo_tokens:1 ~max_delay:200
+              (Generate.clusters_tmg ~seed:clusters ~clusters ~cluster_size ()))
+          [ (10, 10); (40, 25); (100, 30) ] );
+    ( "meshes",
+      "aeb8e2e942eebe59cccd3bfa2b675e14",
+      fun b ->
+        let rng = Prng.create ~seed:3 in
+        List.iter
+          (fun side -> solve_edited b rng ~lo_tokens:1 ~max_delay:3_000 (mesh side))
+          [ 20; 58; 100 ] );
+    ( "scaled designs",
+      "40bcd38ce95e404eadc8448e1373f216",
+      fun b ->
+        let rng = Prng.create ~seed:4 in
+        List.iter
+          (fun size -> solve_edited b rng ~lo_tokens:1 ~max_delay:6_000 (scaled size))
+          [ (26, 60); (100, 150); (300, 450); (1000, 1500) ] );
+  ]
+
+let test_pinned (family, expected, run) () =
+  let b = Buffer.create 4096 in
+  run b;
+  Alcotest.(check string) family expected (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---- freeze / thaw round-trip ------------------------------------------- *)
 
 let prop_round_trip tmg =
@@ -353,6 +475,11 @@ let () =
           Alcotest.test_case "mesh certifies in at most one scan per transition" `Quick
             test_mesh_certify_scans;
         ] );
+      ( "pinned",
+        List.map
+          (fun ((family, _, _) as f) ->
+            Alcotest.test_case ("answers of " ^ family) `Quick (test_pinned f))
+          pinned_families );
       ( "round-trip",
         [
           Helpers.qtest ~count:300 "freeze/thaw identity (raw nets)" raw_tmg_gen
