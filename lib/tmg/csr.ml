@@ -359,14 +359,11 @@ let max_iterations = 200
    Array.fill. *)
 type scratch = {
   policy : int array;
+  succ : int array;  (* per vertex: dst of its policy place, set with it *)
   lambda : float array;
   x : float array;
-  state : int array;  (* 0 unvisited / 1 in progress / 2 done *)
-  posn : int array;  (* path position while in progress *)
+  mark : int array;  (* 0 unvisited / -1 finished / 1 + position on the walk *)
   path : int array;
-  assigned : bool array;
-  rev_head : int array;  (* reverse-policy adjacency as head/next lists *)
-  rev_next : int array;
   ring : int array;  (* FIFO; at most n entries present at any time *)
   parent : int array;
   plen : int array;
@@ -394,14 +391,11 @@ let make_scratch n m =
   let mk v = Array.make (max n 1) v in
   {
     policy = mk (-1);
+    succ = mk (-1);
     lambda = Array.make (max n 1) neg_infinity;
     x = Array.make (max n 1) 0.;
-    state = mk 0;
-    posn = mk 0;
+    mark = mk 0;
     path = mk 0;
-    assigned = Array.make (max n 1) false;
-    rev_head = mk (-1);
-    rev_next = mk (-1);
     ring = Array.make (n + 1) 0;
     parent = mk (-1);
     plen = mk 0;
@@ -529,52 +523,50 @@ let refresh s =
     end
   end
 
-(* Evaluate the current policy over the members comp_members.(lo..hi-1):
-   find its cycles (recorded in discovery order in the cyc_* buffers), each
-   cycle's exact delay/token sums, and the potentials. *)
 (* The policy-evaluation and improvement sweeps below use unchecked array
    accesses: every index is a vertex or place id produced by
    [rebuild_adjacency]/[compute_scc_state] over arrays sized n/m, so the
    checks can never fire — eliding them is worth ~25% of solve time. *)
 
+(* Evaluate the current policy over the members comp_members.(lo..hi-1) in
+   one pass. From each unvisited member, walk the policy successors until
+   the walk reaches a finished vertex or closes a new cycle on itself. A new
+   cycle is recorded in discovery order in the cyc_* buffers with its exact
+   delay/token sums, and its root — the vertex where the walk entered it —
+   gets x = 0 and the cycle's ratio. Then the walked path is finished
+   backwards, the cycle's own vertices first: x(u) = w - lambda*t +
+   x(succ u), lambda(u) = lambda(succ u). A vertex's values depend only on
+   its successor's, so this order yields the same floats as any other. The
+   cycle ratio is a direct float division: both operands are exact in
+   64-bit floats, so the correctly-rounded quotient equals
+   [Ratio.to_float (Ratio.make w t)] bit for bit. *)
 let evaluate s lo hi =
   let g = s.g and sc = s.scratch in
   let members = s.comp_members in
-  let state = sc.state and assigned = sc.assigned in
-  let rev_head = sc.rev_head and rev_next = sc.rev_next in
-  let policy = sc.policy and posn = sc.posn and path = sc.path in
-  let dst = g.dst and weight = g.weight and tokens = g.tokens in
+  let mark = sc.mark and path = sc.path in
+  let policy = sc.policy and succ = sc.succ in
+  let weight = g.weight and tokens = g.tokens in
   let lambda = sc.lambda and x = sc.x in
   for i = lo to hi - 1 do
-    let u = Array.unsafe_get members i in
-    Array.unsafe_set state u 0;
-    Array.unsafe_set assigned u false;
-    Array.unsafe_set rev_head u (-1)
-  done;
-  for i = lo to hi - 1 do
-    let u = Array.unsafe_get members i in
-    let d = Array.unsafe_get dst (Array.unsafe_get policy u) in
-    Array.unsafe_set rev_next u (Array.unsafe_get rev_head d);
-    Array.unsafe_set rev_head d u
+    Array.unsafe_set mark (Array.unsafe_get members i) 0
   done;
   sc.cyc_count <- 0;
   let cyc_total = ref 0 in
   for i = lo to hi - 1 do
     let start = Array.unsafe_get members i in
-    if Array.unsafe_get state start = 0 then begin
+    if Array.unsafe_get mark start = 0 then begin
       let plen = ref 0 in
       let u = ref start in
-      while Array.unsafe_get state !u = 0 do
-        Array.unsafe_set state !u 1;
-        Array.unsafe_set posn !u !plen;
+      while Array.unsafe_get mark !u = 0 do
         Array.unsafe_set path !plen !u;
         incr plen;
-        u := Array.unsafe_get dst (Array.unsafe_get policy !u)
+        Array.unsafe_set mark !u !plen;
+        u := Array.unsafe_get succ !u
       done;
-      if Array.unsafe_get state !u = 1 then begin
-        (* Closed a new cycle at !u: the path suffix from !u is the cycle,
-           in policy order. *)
-        let i0 = Array.unsafe_get posn !u in
+      (* The walk stopped at !u: finished, or on this walk at position i0,
+         in which case path.(i0..plen-1) is a new cycle in policy order. *)
+      let i0 = Array.unsafe_get mark !u - 1 in
+      if i0 >= 0 then begin
         let k = sc.cyc_count in
         sc.cyc_start.(k) <- !cyc_total;
         let wsum = ref 0 and tsum = ref 0 in
@@ -589,72 +581,25 @@ let evaluate s lo hi =
         sc.cyc_start.(k + 1) <- !cyc_total;
         sc.cyc_w.(k) <- !wsum;
         sc.cyc_t.(k) <- !tsum;
-        sc.cyc_count <- k + 1
+        sc.cyc_count <- k + 1;
+        Array.unsafe_set x !u 0.;
+        Array.unsafe_set lambda !u (float_of_int !wsum /. float_of_int !tsum);
+        Array.unsafe_set mark !u (-1)
       end;
-      for j = 0 to !plen - 1 do
-        Array.unsafe_set state (Array.unsafe_get path j) 2
+      for j = !plen - 1 downto 0 do
+        if j <> i0 then begin
+          let v = Array.unsafe_get path j in
+          let a = Array.unsafe_get policy v and w = Array.unsafe_get succ v in
+          let l = Array.unsafe_get lambda w in
+          Array.unsafe_set lambda v l;
+          Array.unsafe_set x v
+            ((float_of_int (Array.unsafe_get weight a)
+             -. (l *. float_of_int (Array.unsafe_get tokens a)))
+            +. Array.unsafe_get x w);
+          Array.unsafe_set mark v (-1)
+        end
       done
     end
-  done;
-  (* Potentials: fix each cycle's first vertex at 0, walk the cycle
-     backwards, then propagate x(u) = w - lambda*t + x(succ u) over the
-     reverse policy adjacency. Cycles are processed in reverse discovery
-     order. The cycle ratio is a direct float division: both operands are
-     exact in 64-bit floats, so the correctly-rounded quotient equals
-     [Ratio.to_float (Ratio.make w t)] bit for bit. *)
-  let ring = sc.ring in
-  let cap = Array.length ring in
-  let qh = ref 0 and qt = ref 0 in
-  let qpush v =
-    Array.unsafe_set ring !qt v;
-    let t = !qt + 1 in
-    qt := if t = cap then 0 else t
-  in
-  let qpop () =
-    let v = Array.unsafe_get ring !qh in
-    let h = !qh + 1 in
-    qh := if h = cap then 0 else h;
-    v
-  in
-  for k = sc.cyc_count - 1 downto 0 do
-    let b = sc.cyc_start.(k) and e = sc.cyc_start.(k + 1) in
-    let l = float_of_int sc.cyc_w.(k) /. float_of_int sc.cyc_t.(k) in
-    let root = sc.cyc_v.(b) in
-    Array.unsafe_set x root 0.;
-    Array.unsafe_set lambda root l;
-    Array.unsafe_set assigned root true;
-    let klen = e - b in
-    for i = klen - 1 downto 1 do
-      let v = sc.cyc_v.(b + i) and succ_v = sc.cyc_v.(b + ((i + 1) mod klen)) in
-      let a = Array.unsafe_get policy v in
-      Array.unsafe_set x v
-        ((float_of_int (Array.unsafe_get weight a)
-         -. (l *. float_of_int (Array.unsafe_get tokens a)))
-        +. Array.unsafe_get x succ_v);
-      Array.unsafe_set lambda v l;
-      Array.unsafe_set assigned v true
-    done;
-    for i = b to e - 1 do
-      qpush sc.cyc_v.(i)
-    done
-  done;
-  while !qh <> !qt do
-    let v = qpop () in
-    let u = ref (Array.unsafe_get rev_head v) in
-    while !u >= 0 do
-      if not (Array.unsafe_get assigned !u) then begin
-        let a = Array.unsafe_get policy !u in
-        let l = Array.unsafe_get lambda v in
-        Array.unsafe_set lambda !u l;
-        Array.unsafe_set x !u
-          ((float_of_int (Array.unsafe_get weight a)
-           -. (l *. float_of_int (Array.unsafe_get tokens a)))
-          +. Array.unsafe_get x v);
-        Array.unsafe_set assigned !u true;
-        qpush !u
-      end;
-      u := Array.unsafe_get rev_next !u
-    done
   done
 
 (* One improvement sweep: ascending members, ascending out-places. A vertex
@@ -665,7 +610,8 @@ let improve s lo hi =
   let members = s.comp_members in
   let out_row = g.out_row and out_adj = g.out_adj in
   let dst = g.dst and weight = g.weight and tokens = g.tokens in
-  let lambda = sc.lambda and x = sc.x and policy = sc.policy in
+  let lambda = sc.lambda and x = sc.x in
+  let policy = sc.policy and succ = sc.succ in
   let improved = ref false in
   for i = lo to hi - 1 do
     let u = Array.unsafe_get members i in
@@ -676,6 +622,7 @@ let improve s lo hi =
         let lu = Array.unsafe_get lambda u and lv = Array.unsafe_get lambda v in
         if lv > lu +. eps then begin
           Array.unsafe_set policy u a;
+          Array.unsafe_set succ u v;
           Array.unsafe_set lambda u lv;
           improved := true
         end
@@ -686,6 +633,7 @@ let improve s lo hi =
           in
           if cost +. Array.unsafe_get x v > Array.unsafe_get x u +. eps then begin
             Array.unsafe_set policy u a;
+            Array.unsafe_set succ u v;
             improved := true
           end
         end
@@ -701,18 +649,22 @@ let howard_scc s lo hi =
   for i = lo to hi - 1 do
     let u = s.comp_members.(i) in
     let w = sc.warm.(u) in
-    if w >= 0 && w < g.m && g.src.(w) = u && s.in_scc.(w) then sc.policy.(u) <- w
-    else begin
-      let a = ref (-1) in
-      let j = ref g.out_row.(u) in
-      while !a < 0 && !j < g.out_row.(u + 1) do
-        let c = g.out_adj.(!j) in
-        if s.in_scc.(c) then a := c;
-        incr j
-      done;
-      assert (!a >= 0);
-      sc.policy.(u) <- !a
-    end
+    let a =
+      if w >= 0 && w < g.m && g.src.(w) = u && s.in_scc.(w) then w
+      else begin
+        let a = ref (-1) in
+        let j = ref g.out_row.(u) in
+        while !a < 0 && !j < g.out_row.(u + 1) do
+          let c = g.out_adj.(!j) in
+          if s.in_scc.(c) then a := c;
+          incr j
+        done;
+        assert (!a >= 0);
+        !a
+      end
+    in
+    sc.policy.(u) <- a;
+    sc.succ.(u) <- g.dst.(a)
   done;
   let best_r = ref None and best_len = ref 0 in
   let note_cycles () =
