@@ -938,6 +938,7 @@ let solve s =
       verdict
     | None ->
       let verdict =
+        Obs.span "csr.liveness" @@ fun () ->
         match live_ranks s.g with Ok _ -> None | Error d -> Some d
       in
       s.liveness <- Some verdict;
@@ -950,7 +951,7 @@ let solve s =
     Error (Deadlock dead)
   | None ->
     if s.scc_dirty then begin
-      compute_scc_state s;
+      Obs.span "csr.scc" (fun () -> compute_scc_state s);
       Obs.incr "csr.scc.recomputed"
     end
     else Obs.incr "csr.cache.scc_hit";
