@@ -9,11 +9,18 @@ type event = { ev_name : string; tid : int; t0 : float; t1 : float }
 (* Per-name span aggregate, updated as each span is recorded. *)
 type agg = { mutable calls : int; mutable total : float; mutable max : float }
 
+(* Retained events live in fixed-size chunks of parallel arrays: the times
+   stay unboxed and nothing is copied as the store grows, so an event costs
+   4 words where a list of [event] records cost 12. *)
+let chunk_size = 4096
+
+type chunk = { names : string array; tids : int array; times : float array (* t0, t1 *) }
+
 type sink = {
   lock : Mutex.t;
   counters : (string, int) Hashtbl.t;
   spans : (string, agg) Hashtbl.t;
-  mutable events : event list; (* newest first *)
+  mutable chunks : chunk list; (* newest first; the head is filling *)
   mutable n_events : int;
   epoch : float;
 }
@@ -41,7 +48,7 @@ let enable () =
          lock = Mutex.create ();
          counters = Hashtbl.create 64;
          spans = Hashtbl.create 16;
-         events = [];
+         chunks = [];
          n_events = 0;
          epoch = !clock ();
        })
@@ -73,17 +80,30 @@ let counters () =
     locked s (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.counters [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let record s ev =
-  let d = ev.t1 -. ev.t0 in
+let record s name tid t0 t1 =
+  let d = t1 -. t0 in
   locked s (fun () ->
-      (match Hashtbl.find_opt s.spans ev.ev_name with
+      (match Hashtbl.find_opt s.spans name with
       | Some a ->
         a.calls <- a.calls + 1;
         a.total <- a.total +. d;
         a.max <- Float.max a.max d
-      | None -> Hashtbl.replace s.spans ev.ev_name { calls = 1; total = d; max = d });
+      | None -> Hashtbl.replace s.spans name { calls = 1; total = d; max = d });
       if s.n_events < max_events then begin
-        s.events <- ev :: s.events;
+        let i = s.n_events mod chunk_size in
+        if i = 0 then
+          s.chunks <-
+            {
+              names = Array.make chunk_size "";
+              tids = Array.make chunk_size 0;
+              times = Array.make (2 * chunk_size) 0.;
+            }
+            :: s.chunks;
+        let c = List.hd s.chunks in
+        c.names.(i) <- name;
+        c.tids.(i) <- tid;
+        c.times.(2 * i) <- t0;
+        c.times.((2 * i) + 1) <- t1;
         s.n_events <- s.n_events + 1
       end)
 
@@ -93,9 +113,19 @@ let span name f =
   | Some s ->
     let t0 = !clock () in
     Fun.protect
-      ~finally:(fun () ->
-        record s { ev_name = name; tid = (Domain.self () :> int); t0; t1 = !clock () })
+      ~finally:(fun () -> record s name (Domain.self () :> int) t0 (!clock ()))
       f
+
+(* The retained events, newest first. Called under the sink's lock. *)
+let events s =
+  let chunks = Array.of_list (List.rev s.chunks) in
+  let acc = ref [] in
+  for j = 0 to s.n_events - 1 do
+    let c = chunks.(j / chunk_size) and i = j mod chunk_size in
+    let t0 = c.times.(2 * i) and t1 = c.times.((2 * i) + 1) in
+    acc := { ev_name = c.names.(i); tid = c.tids.(i); t0; t1 } :: !acc
+  done;
+  !acc
 
 type span_stat = { span_name : string; calls : int; total_s : float; max_s : float }
 
@@ -181,7 +211,7 @@ let chrome_trace () =
        the exported trace is a consistent cut even mid-campaign. *)
     let events, cs, epoch =
       locked s (fun () ->
-          ( s.events,
+          ( events s,
             Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.counters []
             |> List.sort (fun (a, _) (b, _) -> String.compare a b),
             s.epoch ))
