@@ -289,13 +289,15 @@ let solve_edited b rng ~lo_tokens ~max_delay tmg =
     let pick k = Prng.int_range rng ~lo:0 ~hi:(k - 1) in
     (if Prng.bool_with rng ~probability:0.5 then begin
        let delay = Prng.int_range rng ~lo:0 ~hi:max_delay in
-       Tmg.set_delay tmg (pick n) delay
+       let t = pick n in
+       Tmg.set_delay tmg t delay
      end
      else
        let p = pick m in
        let tokens = Prng.int_range rng ~lo:lo_tokens ~hi:2 in
        let dst = pick n in
-       Tmg.rewire_place tmg p ~src:(pick n) ~dst ~tokens ());
+       let src = pick n in
+       Tmg.rewire_place tmg p ~src ~dst ~tokens ());
     fold_answer b (Csr.solve solver)
   done
 
@@ -311,7 +313,8 @@ let random_net rng =
     List.init (Prng.int_range rng ~lo:0 ~hi:(2 * n)) (fun _ ->
         let s = Prng.int_range rng ~lo:0 ~hi:(n - 1) in
         let t = tokens () in
-        (s, Prng.int_range rng ~lo:0 ~hi:(n - 1), t))
+        let d = Prng.int_range rng ~lo:0 ~hi:(n - 1) in
+        (s, d, t))
   in
   let ring_tokens = List.init n (fun _ -> tokens ()) in
   let delays = List.init n (fun _ -> delay ()) in
