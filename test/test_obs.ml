@@ -180,6 +180,34 @@ let test_span_stats_past_cap () =
     Alcotest.(check (float 0.)) "max" 1. s.Obs.max_s
   | _ -> Alcotest.fail "expected one span name"
 
+(* The trace lists every retained span, oldest first, each with its own
+   start and end, however many storage chunks they fill. With a clock that
+   ticks one second per read, span k starts 2k+1 s after the epoch and
+   lasts 1 s. *)
+let test_trace_keeps_every_event () =
+  let tick = ref 0. in
+  Obs.set_clock (fun () ->
+      tick := !tick +. 1.;
+      !tick);
+  Fun.protect ~finally:(fun () -> Obs.set_clock Sys.time) @@ fun () ->
+  with_obs @@ fun () ->
+  let n = 10_000 in
+  for _ = 1 to n do
+    Obs.span "s" ignore
+  done;
+  let span_line l =
+    Scanf.sscanf_opt l
+      "{\"name\":\"s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%f,\"dur\":%f}"
+      (fun _ ts dur -> (ts, dur))
+  in
+  let spans = List.filter_map span_line (String.split_on_char '\n' (Obs.chrome_trace ())) in
+  Alcotest.(check int) "every span in the trace" n (List.length spans);
+  List.iteri
+    (fun k (ts, dur) ->
+      if ts <> float_of_int ((2 * k) + 1) *. 1e6 || dur <> 1e6 then
+        Alcotest.failf "span %d: ts %.1f dur %.1f" k ts dur)
+    spans
+
 let test_chrome_trace_shape () =
   with_obs @@ fun () ->
   Obs.incr ~by:3 "my.counter";
@@ -296,6 +324,7 @@ let () =
           Alcotest.test_case "span stats past max_events" `Quick
             test_span_stats_past_cap;
           Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
+          Alcotest.test_case "trace keeps every event" `Quick test_trace_keeps_every_event;
           Alcotest.test_case "summary shape" `Quick test_summary_shape;
         ] );
       ( "sim-profile",
