@@ -911,7 +911,7 @@ let runtime () =
   in
   let (), t_sup =
     time (fun () ->
-        let outcomes, _ = Supervise.run ~jobs n work in
+        let outcomes = Parallel.init ~jobs n (fun i -> Supervise.attempt (fun () -> work i)) in
         Array.iter
           (function
             | Supervise.Done _ -> ()

@@ -124,12 +124,7 @@ let require_checkpoint resume = function
     None
 
 let load path =
-  match Soc_format.parse_file path with
-  | Ok sys -> (
-    match System.validate sys with
-    | Ok () -> Ok sys
-    | Error e -> Error (Printf.sprintf "%s: invalid system: %s" path e))
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  Result.map_error (fun e -> path ^ ": " ^ e) (Soc_format.load (Soc_format.File path))
 
 let or_die = function
   | Ok v -> v
@@ -808,14 +803,7 @@ let batch_cmd =
       prerr_endline "ermes: no jobs (give FILE.soc arguments or --manifest M)";
       exit 1
     end;
-    let policy =
-      {
-        Supervise.default_policy with
-        Supervise.max_attempts;
-        timeout_s = timeout;
-        clock = Unix.gettimeofday;
-      }
-    in
+    let policy = { Supervise.default_policy with Supervise.max_attempts; timeout_s = timeout } in
     let report =
       Batch.run ~jobs:(resolve_jobs jobs) ~policy ?max_seconds ~rounds entries
     in

@@ -207,6 +207,7 @@ let check_dse ~dir ~seed plan =
 
 let check_batch ~dir ~seed plan =
   let module Batch = Ermes_runtime.Batch in
+  let module Supervise = Ermes_runtime.Supervise in
   let io = Chaos.io (Chaos.injector plan) in
   let files =
     List.init 3 (fun i ->
@@ -231,7 +232,8 @@ let check_batch ~dir ~seed plan =
     List.map Batch.job_of_file files
     @ [ { Batch.file = List.hd files; action = Batch.Analyze; inject = Batch.Flaky 1 } ]
   in
-  match Batch.run ~jobs:1 ~rounds:64 ~clock:io.Chaos.Io.clock jobs with
+  let policy = { Supervise.default_policy with Supervise.clock = io.Chaos.Io.clock } in
+  match Batch.run ~jobs:1 ~policy ~rounds:64 jobs with
   | exception e ->
     Error ("batch crashed under a skewed clock: " ^ Printexc.to_string e)
   | r ->

@@ -1,9 +1,9 @@
-module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
 module Sim = Ermes_slm.Sim
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
 module Lint = Ermes_verify.Lint
+module Parallel = Ermes_parallel.Parallel
 module Obs = Ermes_obs.Obs
 
 type action = Analyze | Lint | Simulate
@@ -102,145 +102,113 @@ type report = {
   elapsed_s : float;
 }
 
-let load file =
-  match Soc_format.parse_file file with
-  | Error e -> Error e
-  | Ok sys -> (
-    match System.validate sys with
-    | Ok () -> Ok sys
-    | Error e -> Error ("invalid system: " ^ e))
-
 (* Expected domain failures — a file that does not parse, a design that
    deadlocks, a lint report with errors — are {e classifications}, returned
    as values: retrying them would be pointless. Only genuine exceptions
    (injected crashes, infrastructure trouble) reach the supervisor's
    retry/quarantine machinery. *)
-let execute ~rounds job =
-  match job.action with
+let classify ~rounds action source =
+  match action with
   | Lint -> (
-    match Lint.lint_file job.file with
-    | Error e -> Job_failed { category = "parse-error"; detail = e }
+    let linted =
+      match source with
+      | Soc_format.File path -> Lint.lint_file path
+      | Soc_format.Text text -> Lint.lint_string text
+    in
+    match linted with
+    | Error e -> Error ("parse-error", e)
     | Ok r ->
       let errors = Lint.errors r and warnings = Lint.warnings r in
       if errors > 0 then
-        Job_failed
-          { category = "lint"; detail = Printf.sprintf "%d lint error(s)" errors }
-      else Job_ok (Printf.sprintf "clean, %d warning(s)" warnings))
+        Error ("lint", Printf.sprintf "%d lint error(s)" errors)
+      else Ok (Printf.sprintf "clean, %d warning(s)" warnings))
   | Analyze -> (
-    match load job.file with
-    | Error e -> Job_failed { category = "parse-error"; detail = e }
+    match Soc_format.load source with
+    | Error e -> Error ("parse-error", e)
     | Ok sys -> (
       match Perf.analyze sys with
-      | Ok a -> Job_ok ("cycle time " ^ Ratio.to_string a.Perf.cycle_time)
+      | Ok a -> Ok ("cycle time " ^ Ratio.to_string a.Perf.cycle_time)
       | Error f ->
         let category =
           match f with Perf.Deadlock _ -> "deadlock" | Perf.No_cycle -> "analysis"
         in
-        Job_failed
-          { category; detail = Format.asprintf "%a" (Perf.pp_failure sys) f }))
+        Error (category, Format.asprintf "%a" (Perf.pp_failure sys) f)))
   | Simulate -> (
-    match load job.file with
-    | Error e -> Job_failed { category = "parse-error"; detail = e }
+    match Soc_format.load source with
+    | Error e -> Error ("parse-error", e)
     | Ok sys -> (
       match Sim.steady_cycle_time ~rounds sys with
-      | Error e -> Job_failed { category = "analysis"; detail = e }
-      | Ok (Sim.Period r) -> Job_ok ("measured cycle time " ^ Ratio.to_string r)
-      | Ok Sim.No_period -> Job_ok "no exact period within the horizon"
-      | Ok (Sim.Deadlock d) ->
-        Job_failed
-          { category = "deadlock"; detail = Format.asprintf "%a" (Sim.pp_deadlock sys) d }
-      | Ok (Sim.Timeout t) ->
-        Job_failed
-          { category = "sim-watchdog"; detail = Format.asprintf "%a" Sim.pp_timeout t }))
+      | Error e -> Error ("analysis", e)
+      | Ok (Sim.Period r) -> Ok ("measured cycle time " ^ Ratio.to_string r)
+      | Ok Sim.No_period -> Ok "no exact period within the horizon"
+      | Ok (Sim.Deadlock d) -> Error ("deadlock", Format.asprintf "%a" (Sim.pp_deadlock sys) d)
+      | Ok (Sim.Timeout t) -> Error ("sim-watchdog", Format.asprintf "%a" Sim.pp_timeout t)))
 
-let rec chunks k = function
-  | [] -> []
-  | l ->
-    let rec split i acc = function
-      | rest when i = k -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: tl -> split (i + 1) (x :: acc) tl
-    in
-    let batch, rest = split 0 [] l in
-    batch :: chunks k rest
+(* One job under the policy. The attempt counter is local to the job, so a
+   [flaky:N] job fails exactly its first N attempts whichever domain runs
+   it. *)
+let supervised ~policy ~rounds job =
+  let attempts = ref 0 in
+  let outcome =
+    Supervise.attempt ~policy (fun () ->
+        incr attempts;
+        (match job.inject with
+        | Crash -> failwith (job.file ^ ": injected crash")
+        | Flaky k when !attempts <= k ->
+          failwith (Printf.sprintf "%s: injected flaky failure %d/%d" job.file !attempts k)
+        | Flaky _ | No_inject -> ());
+        classify ~rounds job.action (Soc_format.File job.file))
+  in
+  let status =
+    match outcome with
+    | Supervise.Done (Ok detail) -> Job_ok detail
+    | Supervise.Done (Error (category, detail)) -> Job_failed { category; detail }
+    | Supervise.Quarantined { exn; attempts } -> Job_quarantined { exn; attempts }
+    | Supervise.Timed_out { attempts; elapsed_s } -> Job_timed_out { attempts; elapsed_s }
+  in
+  { job; status; attempts = !attempts }
 
-let run ?jobs ?(policy = Supervise.default_policy) ?max_seconds ?(rounds = 64)
-    ?(clock = Unix.gettimeofday) entries =
+let run ?jobs ?(policy = Supervise.default_policy) ?max_seconds ?(rounds = 64) entries =
   Obs.span "runtime.batch" @@ fun () ->
+  let clock = policy.Supervise.clock in
   let t0 = clock () in
   let entries = Array.of_list entries in
   let n = Array.length entries in
-  (* Injection bookkeeping: one attempt counter per job, touched only by
-     whichever worker currently owns the job (retries stay on one worker), so
-     a [flaky:N] job deterministically fails its first N attempts. *)
-  let attempts = Array.make n 0 in
-  let task i =
-    let job = entries.(i) in
-    attempts.(i) <- attempts.(i) + 1;
-    (match job.inject with
-    | Crash -> failwith (job.file ^ ": injected crash")
-    | Flaky k when attempts.(i) <= k ->
-      failwith (Printf.sprintf "%s: injected flaky failure %d/%d" job.file attempts.(i) k)
-    | Flaky _ | No_inject -> ());
-    execute ~rounds job
-  in
-  let results = Array.make n None in
-  let retries = ref 0 in
-  let watchdog = ref false in
   (* Waves bound how much work is in flight between watchdog checks; with no
      [max_seconds] a single wave covers everything. *)
-  let indices = List.init n Fun.id in
-  let waves =
+  let size =
     match max_seconds with
-    | None -> [ indices ]
-    | Some _ ->
-      let per_wave =
-        max 4 (2 * (match jobs with Some j -> max 1 j | None -> 1))
-      in
-      chunks per_wave indices
+    | None -> max 1 n
+    | Some _ -> max 4 (2 * match jobs with Some j -> max 1 j | None -> 1)
   in
-  List.iter
-    (fun wave ->
-      let budget_left =
-        match max_seconds with None -> true | Some s -> clock () -. t0 <= s
-      in
-      if not budget_left then watchdog := true
-      else begin
-        let wave_arr = Array.of_list wave in
-        let outcomes, stats =
-          Supervise.run ?jobs ~policy (Array.length wave_arr) (fun k ->
-              task wave_arr.(k))
-        in
-        retries := !retries + stats.Supervise.retries;
-        Array.iteri (fun k o -> results.(wave_arr.(k)) <- Some o) outcomes
-      end)
-    waves;
-  let reports =
-    List.init n (fun i ->
-        let job = entries.(i) in
-        match results.(i) with
-        | None -> { job; status = Job_skipped; attempts = 0 }
-        | Some (Supervise.Done status) -> { job; status; attempts = attempts.(i) }
-        | Some (Supervise.Quarantined f) | Some (Supervise.Failed f) ->
-          {
-            job;
-            status = Job_quarantined { exn = f.Supervise.exn; attempts = f.Supervise.attempts };
-            attempts = f.Supervise.attempts;
-          }
-        | Some (Supervise.Timed_out { attempts = a; elapsed_s }) ->
-          { job; status = Job_timed_out { attempts = a; elapsed_s }; attempts = a })
+  (* One clock read per wave, on this domain, before the wave starts: the
+     first here, each later one as the previous wave's last result comes
+     in. The workers of a wave only read [skip]. *)
+  let expired () =
+    match max_seconds with None -> false | Some s -> clock () -. t0 > s
   in
-  let count p = List.length (List.filter p reports) in
+  let skip = ref (n > 0 && expired ()) in
+  let reports = ref [] in
+  Parallel.waves ?jobs ~size ~init:ignore n
+    (fun () i ->
+      let job = entries.(i) in
+      if !skip then { job; status = Job_skipped; attempts = 0 }
+      else supervised ~policy ~rounds job)
+    (fun i r ->
+      reports := r :: !reports;
+      if (i + 1) mod size = 0 && i + 1 < n then skip := expired ());
+  let results = List.rev !reports in
+  let count p = List.length (List.filter (fun r -> p r.status) results) in
+  let skipped = count (function Job_skipped -> true | _ -> false) in
   {
-    results = reports;
-    ok = count (fun r -> match r.status with Job_ok _ -> true | _ -> false);
-    failed = count (fun r -> match r.status with Job_failed _ -> true | _ -> false);
-    quarantined =
-      count (fun r -> match r.status with Job_quarantined _ -> true | _ -> false);
-    timed_out = count (fun r -> match r.status with Job_timed_out _ -> true | _ -> false);
-    skipped = count (fun r -> match r.status with Job_skipped -> true | _ -> false);
-    retries = !retries;
-    watchdog = !watchdog;
+    results;
+    ok = count (function Job_ok _ -> true | _ -> false);
+    failed = count (function Job_failed _ -> true | _ -> false);
+    quarantined = count (function Job_quarantined _ -> true | _ -> false);
+    timed_out = count (function Job_timed_out _ -> true | _ -> false);
+    skipped;
+    retries = List.fold_left (fun acc r -> acc + max 0 (r.attempts - 1)) 0 results;
+    watchdog = skipped > 0;
     elapsed_s = clock () -. t0;
   }
 

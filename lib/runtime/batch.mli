@@ -1,6 +1,7 @@
-(** The [ermes batch] job engine: a manifest of [.soc] jobs processed under
-    {!Supervise}, with per-job isolation of expected failures and a JSON +
-    text summary report.
+(** The [ermes batch] job engine: a manifest of [.soc] jobs, each run under
+    {!Supervise.attempt}, with per-job isolation of expected failures and a
+    JSON + text summary report. The daemon's [batch] verb classifies its
+    inline jobs with the same {!classify}.
 
     Failure taxonomy — the load-bearing design point:
 
@@ -9,9 +10,9 @@
       simulation that exhausts its cycle watchdog) are returned as
       [Job_failed] values and never retried — rerunning a deterministic
       parse error is wasted work;
-    - {e exceptions} (injected crashes, infrastructure trouble) go through
-      the supervisor's retry/backoff machinery and end [Job_quarantined]
-      when attempts are exhausted — the rest of the batch is unaffected;
+    - {e exceptions} (injected crashes, infrastructure trouble) are
+      retried at once by the supervisor and end [Job_quarantined] when
+      attempts are exhausted — the rest of the batch is unaffected;
     - a job whose attempt overruns the policy's [timeout_s] is
       [Job_timed_out];
     - jobs not yet started when the batch-level [max_seconds] watchdog
@@ -74,23 +75,29 @@ type report = {
   elapsed_s : float;
 }
 
+val classify :
+  rounds:int -> action -> Ermes_slm.Soc_format.source -> (string, string * string) result
+(** One job's verdict on a file or an inline design text: [Ok detail] or
+    [Error (category, detail)], the fields of [Job_ok] and [Job_failed].
+    [rounds] is the simulation horizon for [Simulate]. Raises only on
+    infrastructure trouble. *)
+
 val run :
   ?jobs:int ->
   ?policy:Supervise.policy ->
   ?max_seconds:float ->
   ?rounds:int ->
-  ?clock:(unit -> float) ->
   job list ->
   report
-(** Process the jobs under {!Supervise.run} on up to [jobs] domains with the
-    given retry [policy] (default {!Supervise.default_policy}). [rounds]
-    (default 64) is the simulation horizon for [simulate] jobs. With
-    [max_seconds] the jobs run in waves and a wave never starts after the
-    budget expires — remaining jobs come back [Job_skipped]. [clock]
-    (default [Unix.gettimeofday]) exists for deterministic tests. Results
-    are deterministic for any [jobs] value (pure jobs fail identically on
-    every attempt). Obs: span [runtime.batch] plus the {!Supervise}
-    counters. *)
+(** Process the jobs, one {!Supervise.attempt} each under [policy] (default
+    {!Supervise.default_policy}), on up to [jobs] domains through
+    {!Ermes_parallel.Parallel.waves}. [rounds] (default 64) is the
+    simulation horizon for [simulate] jobs. With [max_seconds] the jobs run
+    in waves, and a wave never starts after the budget expires: its jobs
+    come back [Job_skipped] without running. The policy's [clock] times
+    both the budget and each job's [timeout_s]. Results are deterministic
+    for any [jobs] value (pure jobs fail identically on every attempt).
+    Obs: span [runtime.batch]. *)
 
 val exit_code : report -> int
 (** 0 all ok / 2 some jobs failed / 3 watchdog expired. *)

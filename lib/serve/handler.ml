@@ -1,6 +1,4 @@
-module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
-module Sim = Ermes_slm.Sim
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
 module Explore = Ermes_core.Explore
@@ -9,6 +7,7 @@ module Verify = Ermes_verify.Verify
 module Lint = Ermes_verify.Lint
 module Obs = Ermes_obs.Obs
 module Cancel = Ermes_runtime.Supervise.Cancel
+module Batch = Ermes_runtime.Batch
 
 open Proto
 
@@ -63,13 +62,7 @@ let apply_inject ~attempts ~cancel = function
 let parse_design body =
   match str_member "design" body with
   | None -> Error "missing \"design\" field"
-  | Some text -> (
-    match Soc_format.parse text with
-    | Error e -> Error e
-    | Ok sys -> (
-      match System.validate sys with
-      | Ok () -> Ok sys
-      | Error e -> Error ("invalid system: " ^ e)))
+  | Some text -> Soc_format.load (Soc_format.Text text)
 
 let ratio_fields prefix r =
   [
@@ -254,7 +247,8 @@ let dse ~cancel req =
               ("design", Str (Soc_format.print sys));
             ]))
 
-(* Inline batch: each job isolated, cancellation between jobs. *)
+(* Inline batch: each job isolated, cancellation between jobs, and every
+   verdict [ermes batch]'s own. *)
 let batch deps ~cancel req =
   let id = req.id in
   match member "jobs" req.body with
@@ -272,46 +266,22 @@ let batch deps ~cancel req =
            ]
           @ match category with None -> [] | Some c -> [ ("category", Str c) ])
       in
-      match str_member "design" job with
-      | None -> item "failed" ~category:"bad-request" "missing \"design\" field"
-      | Some text -> (
-        let parsed =
-          match Soc_format.parse text with
-          | Error e -> Error e
-          | Ok sys -> (
-            match System.validate sys with
-            | Ok () -> Ok sys
-            | Error e -> Error ("invalid system: " ^ e))
-        in
-        match (action, parsed) with
-        | _, Error e -> item "failed" ~category:"parse-error" e
-        | "lint", _ -> (
-          match Lint.lint_string text with
-          | Error e -> item "failed" ~category:"parse-error" e
-          | Ok r ->
-            if Lint.errors r > 0 then
-              item "failed" ~category:"lint"
-                (Printf.sprintf "%d lint error(s)" (Lint.errors r))
-            else item "ok" (Printf.sprintf "clean, %d warning(s)" (Lint.warnings r)))
-        | "analyze", Ok sys -> (
-          match Perf.analyze sys with
-          | Ok a -> item "ok" ("cycle time " ^ Ratio.to_string a.Perf.cycle_time)
-          | Error (Perf.Deadlock _ as f) ->
-            item "failed" ~category:"deadlock" (Format.asprintf "%a" (Perf.pp_failure sys) f)
-          | Error (Perf.No_cycle as f) ->
-            item "failed" ~category:"analysis" (Format.asprintf "%a" (Perf.pp_failure sys) f))
-        | "simulate", Ok sys -> (
-          match Sim.steady_cycle_time ~rounds:deps.rounds sys with
-          | Error e -> item "failed" ~category:"analysis" e
-          | Ok (Sim.Period r) -> item "ok" ("measured cycle time " ^ Ratio.to_string r)
-          | Ok Sim.No_period -> item "ok" "no exact period within the horizon"
-          | Ok (Sim.Deadlock d) ->
-            item "failed" ~category:"deadlock" (Format.asprintf "%a" (Sim.pp_deadlock sys) d)
-          | Ok (Sim.Timeout t) ->
-            item "failed" ~category:"sim-watchdog" (Format.asprintf "%a" Sim.pp_timeout t))
-        | a, Ok _ ->
-          item "failed" ~category:"bad-request"
-            (Printf.sprintf "unknown action %S (expected analyze|lint|simulate)" a))
+      let known =
+        match action with
+        | "analyze" -> Some Batch.Analyze
+        | "lint" -> Some Batch.Lint
+        | "simulate" -> Some Batch.Simulate
+        | _ -> None
+      in
+      match (str_member "design" job, known) with
+      | None, _ -> item "failed" ~category:"bad-request" "missing \"design\" field"
+      | Some _, None ->
+        item "failed" ~category:"bad-request"
+          (Printf.sprintf "unknown action %S (expected analyze|lint|simulate)" action)
+      | Some text, Some a -> (
+        match Batch.classify ~rounds:deps.rounds a (Soc_format.Text text) with
+        | Ok detail -> item "ok" detail
+        | Error (category, detail) -> item "failed" ~category detail)
     in
     let items = List.mapi run_job jobs in
     let ok =

@@ -12,7 +12,8 @@
     - [dse] — the exploration loop toward a target cycle time, cooperative
       cancellation once per iteration;
     - [batch] — a list of inline design jobs (analyze/lint/simulate), each
-      isolated, cancellation checked between jobs;
+      isolated, cancellation checked between jobs; every verdict comes from
+      {!Ermes_runtime.Batch.classify}, as in [ermes batch];
     - [ping] — no-op (liveness; with an [inject] it occupies a worker, which
       is how the tests make overload deterministic);
     - [session-open] / [session-close] — manage incremental sessions.

@@ -140,11 +140,9 @@ let run_job srv job =
       let budget = Float.max 0.001 (job.jdeadline -. t0) in
       let policy =
         {
-          Supervise.default_policy with
           Supervise.max_attempts = srv.cfg.max_attempts;
           timeout_s = Some budget;
           clock = srv.cfg.io.Chaos.Io.clock;
-          quarantine = true;
         }
       in
       match
@@ -166,7 +164,7 @@ let run_job srv job =
         error_reply ~id:job.jid ~verb:job.jreq.verb ~status:"timeout" reason
           ~extra:
             [ ("attempts", Int attempts); ("ran_ms", Float (elapsed_s *. 1000.)) ]
-      | Supervise.Failed f | Supervise.Quarantined f ->
+      | Supervise.Quarantined f ->
         Obs.incr "serve.crashes";
         Atomic.incr srv.crashes;
         error_reply ~id:job.jid ~verb:job.jreq.verb ~status:"crash"

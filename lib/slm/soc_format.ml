@@ -273,6 +273,16 @@ let parse_file ?limits path =
     | text -> parse ~limits text
     | exception Sys_error m -> Error m)
 
+type source = File of string | Text of string
+
+let load source =
+  match (match source with File path -> parse_file path | Text text -> parse text) with
+  | Error e -> Error e
+  | Ok sys -> (
+    match System.validate sys with
+    | Ok () -> Ok sys
+    | Error e -> Error ("invalid system: " ^ e))
+
 let print sys =
   let buf = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -69,6 +69,14 @@ val parse_file : ?limits:limits -> string -> (System.t, string) result
 (** Like {!parse}; an over-limit file is rejected from its on-disk size,
     before its contents are read into memory. *)
 
+(** Where a description comes from: a file path, or the text itself. *)
+type source = File of string | Text of string
+
+val load : source -> (System.t, string) result
+(** Parse, then {!System.validate}: the one front door of the CLI, the
+    batch runner and the daemon. A validation error reads
+    ["invalid system: ..."]. *)
+
 val print : System.t -> string
 (** Canonical rendering; [parse (print sys)] reconstructs an identical
     system (same ids, names, latencies, areas, selections, orders). *)

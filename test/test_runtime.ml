@@ -29,44 +29,50 @@ let contains = Astring_contains.contains
 
 let outcome_tag = function
   | Supervise.Done _ -> "done"
-  | Supervise.Failed _ -> "failed"
   | Supervise.Timed_out _ -> "timed-out"
   | Supervise.Quarantined _ -> "quarantined"
 
-(* ---- supervised pool ----------------------------------------------------- *)
+(* ---- supervised attempts --------------------------------------------------- *)
+
+(* [n] tasks, one supervised attempt each, fanned out the way Batch does. *)
+let supervised_pool ?policy ~jobs n task =
+  Parallel.init ~jobs n (fun i -> Supervise.attempt ?policy (fun () -> task i))
 
 let test_supervise_all_done () =
-  let outcomes, stats = Supervise.run ~jobs:3 20 (fun i -> i * i) in
+  let calls = Array.make 20 0 in
+  let outcomes =
+    supervised_pool ~jobs:3 20 (fun i ->
+        calls.(i) <- calls.(i) + 1;
+        i * i)
+  in
   Array.iteri
     (fun i o ->
       match o with
       | Supervise.Done v -> Alcotest.(check int) "value" (i * i) v
       | o -> Alcotest.failf "task %d: expected Done, got %s" i (outcome_tag o))
     outcomes;
-  Alcotest.(check int) "completed" 20 stats.Supervise.completed;
-  Alcotest.(check int) "retries" 0 stats.Supervise.retries
+  Alcotest.(check int) "no retries" 20 (Array.fold_left ( + ) 0 calls)
 
 let test_supervise_quarantine_jobs_invariant () =
   let task i = if i mod 5 = 0 then failwith (Printf.sprintf "bad %d" i) else 10 * i in
   let fingerprint jobs =
-    let outcomes, stats = Supervise.run ~jobs 23 task in
-    ( Array.to_list
-        (Array.map
-           (function
-             | Supervise.Done v -> Printf.sprintf "done %d" v
-             | Supervise.Quarantined f ->
-               Printf.sprintf "quarantined %s after %d" f.Supervise.exn
-                 f.Supervise.attempts
-             | o -> outcome_tag o)
-           outcomes),
-      stats.Supervise.quarantined,
-      stats.Supervise.retries )
+    Array.to_list
+      (Array.map
+         (function
+           | Supervise.Done v -> Printf.sprintf "done %d" v
+           | Supervise.Quarantined f ->
+             Printf.sprintf "quarantined %s after %d" f.Supervise.exn f.Supervise.attempts
+           | o -> outcome_tag o)
+         (supervised_pool ~jobs 23 task))
   in
   let ref_fp = fingerprint 1 in
-  let _, quarantined, retries = ref_fp in
-  Alcotest.(check int) "quarantined count" 5 quarantined;
-  (* Each quarantined task burned max_attempts - 1 = 2 retries. *)
-  Alcotest.(check int) "retries" 10 retries;
+  let quarantined =
+    List.filter (fun s -> String.length s > 11 && String.sub s 0 11 = "quarantined") ref_fp
+  in
+  Alcotest.(check int) "quarantined count" 5 (List.length quarantined);
+  (* Each quarantined task made max_attempts = 3 attempts. *)
+  Alcotest.(check bool) "three attempts each" true
+    (List.for_all (fun s -> contains s "after 3") quarantined);
   List.iter
     (fun jobs ->
       Alcotest.(check bool)
@@ -81,61 +87,14 @@ let test_supervise_flaky_recovers () =
     attempts.(i) <- attempts.(i) + 1;
     if attempts.(i) <= 2 then failwith "flaky" else i
   in
-  let outcomes, stats = Supervise.run ~jobs:1 8 task in
+  let outcomes = supervised_pool ~jobs:1 8 task in
   Array.iteri
     (fun i o ->
       match o with
       | Supervise.Done v -> Alcotest.(check int) "value" i v
       | o -> Alcotest.failf "task %d: %s" i (outcome_tag o))
     outcomes;
-  Alcotest.(check int) "two retries each" 16 stats.Supervise.retries;
-  Alcotest.(check int) "quarantined" 0 stats.Supervise.quarantined
-
-let test_supervise_failed_when_quarantine_off () =
-  let policy = { Supervise.default_policy with Supervise.quarantine = false } in
-  let outcomes, stats = Supervise.run ~jobs:1 ~policy 3 (fun _ -> failwith "nope") in
-  Array.iter
-    (function
-      | Supervise.Failed f -> Alcotest.(check int) "attempts" 3 f.Supervise.attempts
-      | o -> Alcotest.failf "expected Failed, got %s" (outcome_tag o))
-    outcomes;
-  Alcotest.(check int) "failed" 3 stats.Supervise.failed;
-  Alcotest.(check int) "quarantined" 0 stats.Supervise.quarantined
-
-let test_supervise_sleeps_backoff () =
-  let slept = ref [] in
-  let policy =
-    { Supervise.default_policy with Supervise.sleep = (fun d -> slept := d :: !slept) }
-  in
-  let _, _ = Supervise.run ~jobs:1 ~policy 1 (fun _ -> failwith "always") in
-  let expected =
-    [
-      Supervise.backoff_delay policy ~task:0 ~attempt:1;
-      Supervise.backoff_delay policy ~task:0 ~attempt:2;
-    ]
-  in
-  Alcotest.(check (list (float 0.))) "slept the computed delays" expected (List.rev !slept)
-
-let test_backoff_deterministic () =
-  let p = Supervise.default_policy in
-  for task = 0 to 5 do
-    for attempt = 1 to 6 do
-      let d1 = Supervise.backoff_delay p ~task ~attempt in
-      let d2 = Supervise.backoff_delay p ~task ~attempt in
-      Alcotest.(check (float 0.)) "pure function" d1 d2;
-      let raw = p.Supervise.base_backoff_s *. (2. ** float_of_int (attempt - 1)) in
-      let cap = Float.min p.Supervise.max_backoff_s raw in
-      Alcotest.(check bool) "within jitter band" true (d1 >= 0.75 *. cap -. 1e-12);
-      Alcotest.(check bool) "capped (modulo jitter)" true (d1 <= 1.25 *. cap +. 1e-12)
-    done
-  done;
-  (* Jitter decorrelates tasks: not every task sees the same delay. *)
-  let delays =
-    List.init 16 (fun task -> Supervise.backoff_delay p ~task ~attempt:1)
-  in
-  Alcotest.(check bool)
-    "task-decorrelated" true
-    (List.exists (fun d -> d <> List.hd delays) delays)
+  Alcotest.(check int) "three attempts each" 24 (Array.fold_left ( + ) 0 attempts)
 
 let test_supervise_timeout_not_retried () =
   let ticks = ref 0. in
@@ -150,26 +109,20 @@ let test_supervise_timeout_not_retried () =
     }
   in
   let calls = ref 0 in
-  let outcomes, stats =
-    Supervise.run ~jobs:1 ~policy 1 (fun _ ->
-        incr calls;
-        ())
-  in
-  (match outcomes.(0) with
+  (match Supervise.attempt ~policy (fun () -> incr calls) with
   | Supervise.Timed_out { attempts; elapsed_s } ->
     Alcotest.(check int) "single attempt" 1 attempts;
     Alcotest.(check bool) "elapsed over budget" true (elapsed_s > 0.5)
   | o -> Alcotest.failf "expected Timed_out, got %s" (outcome_tag o));
-  Alcotest.(check int) "not retried" 1 !calls;
-  Alcotest.(check int) "timed_out stat" 1 stats.Supervise.timed_out
+  Alcotest.(check int) "not retried" 1 !calls
 
 let test_supervise_rejects_bad_policy () =
   Alcotest.check_raises "max_attempts < 1"
-    (Invalid_argument "Supervise.run: max_attempts < 1") (fun () ->
+    (Invalid_argument "Supervise.attempt: max_attempts < 1") (fun () ->
       ignore
-        (Supervise.run
+        (Supervise.attempt
            ~policy:{ Supervise.default_policy with Supervise.max_attempts = 0 }
-           1 Fun.id))
+           Fun.id))
 
 (* ---- cooperative cancellation --------------------------------------------- *)
 
@@ -202,8 +155,8 @@ let test_cancel_classified_timed_out_in_pool () =
   let token = Supervise.Cancel.make () in
   Supervise.Cancel.cancel ~reason:"deadline" token;
   let calls = Array.make 4 0 in
-  let outcomes, stats =
-    Supervise.run ~jobs:2 4 (fun i ->
+  let outcomes =
+    supervised_pool ~jobs:2 4 (fun i ->
         calls.(i) <- calls.(i) + 1;
         if i = 2 then Supervise.Cancel.check token;
         i)
@@ -218,9 +171,7 @@ let test_cancel_classified_timed_out_in_pool () =
         match o with
         | Supervise.Done v -> Alcotest.(check int) "neighbour done" i v
         | o -> Alcotest.failf "neighbour %d: %s" i (outcome_tag o))
-    outcomes;
-  Alcotest.(check int) "timed_out stat" 1 stats.Supervise.timed_out;
-  Alcotest.(check int) "no quarantine" 0 stats.Supervise.quarantined
+    outcomes
 
 let test_attempt_done_and_retry () =
   let calls = ref 0 in
@@ -247,35 +198,6 @@ let test_attempt_quarantines_after_retries () =
     Alcotest.(check int) "three calls" 3 !calls;
     Alcotest.(check bool) "keeps the exception" true (contains f.Supervise.exn "always")
   | o -> Alcotest.failf "expected Quarantined, got %s" (outcome_tag o)
-
-let supervise_outcomes_prop =
-  Helpers.qtest ~count:40 "supervise: outcomes jobs-invariant and slot-exact"
-    QCheck2.Gen.(
-      let* n = int_range 0 24 in
-      let* bad = list_repeat n bool in
-      return (n, bad))
-    (fun (n, bad) ->
-      let bad = Array.of_list bad in
-      let task i = if bad.(i) then failwith "boom" else 3 * i in
-      let seq, _ = Supervise.run ~jobs:1 n task in
-      let par, _ = Supervise.run ~jobs:4 n task in
-      Array.length seq = n
-      && Array.for_all2
-           (fun a b ->
-             match (a, b) with
-             | Supervise.Done x, Supervise.Done y -> x = y
-             | Supervise.Quarantined f, Supervise.Quarantined g ->
-               f.Supervise.exn = g.Supervise.exn
-               && f.Supervise.attempts = g.Supervise.attempts
-             | _ -> false)
-           seq par
-      && Array.for_all2
-           (fun flag o ->
-             match o with
-             | Supervise.Done _ -> not flag
-             | Supervise.Quarantined _ -> flag
-             | _ -> false)
-           bad seq)
 
 (* ---- journal ------------------------------------------------------------- *)
 
@@ -846,6 +768,38 @@ let write_temp_text text =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
   path
 
+(* The supervised pool's anchor property, on the engine that now owns it:
+   crash and healthy jobs on one file give the same reports at jobs 1 and
+   4, and each report sits in its job's slot. *)
+let supervise_outcomes_prop =
+  Helpers.qtest ~count:40 "supervise: outcomes jobs-invariant and slot-exact"
+    QCheck2.Gen.(
+      let* n = int_range 0 24 in
+      let* bad = list_repeat n bool in
+      return (n, bad))
+    (fun (n, bad) ->
+      let file = write_temp_soc (Motivating.suboptimal ()) in
+      Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+      let entries =
+        List.map
+          (fun crash ->
+            let inject = if crash then Batch.Crash else Batch.No_inject in
+            { Batch.file; action = Batch.Analyze; inject })
+          bad
+      in
+      let seq = (Batch.run ~jobs:1 entries).Batch.results in
+      let par = (Batch.run ~jobs:4 entries).Batch.results in
+      let view (r : Batch.job_report) = (Batch.status_name r.Batch.status, r.Batch.attempts) in
+      List.length seq = n
+      && List.map view seq = List.map view par
+      && List.for_all2
+           (fun crash (r : Batch.job_report) ->
+             match r.Batch.status with
+             | Batch.Job_ok _ -> not crash
+             | Batch.Job_quarantined { attempts; _ } -> crash && attempts = 3
+             | _ -> false)
+           bad seq)
+
 let test_batch_isolates_and_quarantines () =
   let good = write_temp_soc (Motivating.suboptimal ()) in
   let dead = write_temp_soc (Motivating.deadlocking ()) in
@@ -906,7 +860,8 @@ let test_batch_watchdog_skips () =
     ticks := !ticks +. 10.;
     !ticks
   in
-  let report = Batch.run ~jobs:1 ~max_seconds:0.5 ~clock entries in
+  let policy = { Supervise.default_policy with Supervise.clock } in
+  let report = Batch.run ~jobs:1 ~policy ~max_seconds:0.5 entries in
   Alcotest.(check bool) "watchdog fired" true report.Batch.watchdog;
   Alcotest.(check int) "exit code" 3 (Batch.exit_code report);
   Alcotest.(check int) "everything skipped" 6 report.Batch.skipped;
@@ -1048,10 +1003,6 @@ let () =
           Alcotest.test_case "quarantine jobs-invariant" `Quick
             test_supervise_quarantine_jobs_invariant;
           Alcotest.test_case "flaky recovers" `Quick test_supervise_flaky_recovers;
-          Alcotest.test_case "failed when quarantine off" `Quick
-            test_supervise_failed_when_quarantine_off;
-          Alcotest.test_case "sleeps the backoff delays" `Quick test_supervise_sleeps_backoff;
-          Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;
           Alcotest.test_case "timeout not retried" `Quick test_supervise_timeout_not_retried;
           Alcotest.test_case "rejects bad policy" `Quick test_supervise_rejects_bad_policy;
           supervise_outcomes_prop;

@@ -22,6 +22,9 @@ module Cache = Ermes_serve.Cache
 module Session = Ermes_serve.Session
 module Server = Ermes_serve.Server
 module Client = Ermes_serve.Client
+module Handler = Ermes_serve.Handler
+module Batch = Ermes_runtime.Batch
+module Motivating = Ermes_slm.Motivating
 
 let contains = Astring_contains.contains
 
@@ -481,6 +484,80 @@ let test_explicit_cancel_classified_timed_out () =
   | Supervise.Timed_out _ -> ()
   | _ -> Alcotest.fail "explicit cancel not classified Timed_out"
 
+(* ---- the batch verb ---------------------------------------------------------- *)
+
+(* The daemon's batch verb and [ermes batch] give every job the same verdict:
+   each action on a healthy, a deadlocking, an unparsable and a self-loop
+   design, inline for the verb and from files for [Batch.run]. *)
+let test_batch_verb_agrees () =
+  let designs =
+    [
+      ("healthy", Soc_format.print (Motivating.suboptimal ()));
+      ("deadlocking", Soc_format.print (Motivating.deadlocking ()));
+      ("unparsable", "this is not a soc file\n");
+      ( "self-loop",
+        "system selfloop\nprocess a impl only latency 1 area 0.1\n\
+         process b impl only latency 2 area 0.1\nchannel ab a b latency 1\n\
+         channel bb b b latency 1\n" );
+    ]
+  in
+  let actions = [ ("analyze", Batch.Analyze); ("lint", Batch.Lint); ("simulate", Batch.Simulate) ] in
+  let cases =
+    List.concat_map (fun (d, text) -> List.map (fun (a, action) -> (d, text, a, action)) actions) designs
+  in
+  let files =
+    List.map
+      (fun (_, text, _, _) ->
+        let path = Filename.temp_file "ermes_serve" ".soc" in
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+        path)
+      cases
+  in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove files) @@ fun () ->
+  let report =
+    Batch.run ~rounds:64
+      (List.map2
+         (fun file (_, _, _, action) -> { Batch.file; action; inject = Batch.No_inject })
+         files cases)
+  in
+  let deps =
+    {
+      Handler.cache = Cache.create ~capacity:4;
+      sessions = Session.create_table ~clock:Unix.gettimeofday ();
+      rounds = 64;
+    }
+  in
+  let jobs =
+    List.map
+      (fun (_, text, a, _) -> Proto.Obj [ ("action", Proto.Str a); ("design", Proto.Str text) ])
+      cases
+  in
+  let body = Proto.Obj [ ("id", Proto.Int 1); ("verb", Proto.Str "batch"); ("jobs", Proto.Arr jobs) ] in
+  let reply =
+    Handler.execute deps ~cancel:(Cancel.make ()) ~attempts:(ref 0) ~client:"t"
+      { Proto.id = 1; verb = "batch"; body }
+  in
+  let items =
+    match Proto.member "jobs" reply with
+    | Some (Proto.Arr items) -> items
+    | _ -> Alcotest.failf "no jobs in %s" (Proto.to_string reply)
+  in
+  Alcotest.(check int) "one item a job" (List.length cases) (List.length items);
+  List.iter2
+    (fun ((d, _, a, _), item) (jr : Batch.job_report) ->
+      let want =
+        match jr.Batch.status with
+        | Batch.Job_ok detail -> ("ok", None, detail)
+        | Batch.Job_failed { category; detail } -> ("failed", Some category, detail)
+        | s -> Alcotest.failf "%s %s: Batch.run says %s" a d (Batch.status_name s)
+      in
+      let field k = Option.value ~default:"" (Proto.str_member k item) in
+      Alcotest.(check (triple string (option string) string))
+        (Printf.sprintf "%s on the %s design" a d)
+        want
+        (field "status", Proto.str_member "category" item, field "detail"))
+    (List.combine cases items) report.Batch.results
+
 (* ---- frame-read deadline --------------------------------------------------- *)
 
 (* [Proto.pending] is what the server's slow-loris deadline keys off: true
@@ -677,4 +754,5 @@ let () =
             test_frame_deadline_end_to_end;
         ] );
       ("client", [ Alcotest.test_case "failures are values" `Quick test_client_failures ]);
+      ("batch", [ Alcotest.test_case "verb agrees with Batch.run" `Quick test_batch_verb_agrees ]);
     ]
