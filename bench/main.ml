@@ -1249,7 +1249,6 @@ let () =
      --json as obs.* metrics, so a perf regression can be correlated with a
      behavioural change (more rebuilds, fewer warm solves) from the same
      artifact. *)
-  Ermes_obs.Obs.set_clock Unix.gettimeofday;
   Ermes_obs.Obs.enable ();
   let t0 = Unix.gettimeofday () in
   List.iter

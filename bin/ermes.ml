@@ -80,7 +80,6 @@ let trace_arg =
 let setup_trace = function
   | None -> ()
   | Some file ->
-    Obs.set_clock Unix.gettimeofday;
     Obs.enable ();
     at_exit (fun () -> Obs.write_chrome_trace file)
 
@@ -867,7 +866,6 @@ let profile_cmd =
   let run file rounds =
     (* --trace may already have installed a sink; otherwise record locally so
        the summary has something to print. *)
-    Obs.set_clock Unix.gettimeofday;
     if not (Obs.enabled ()) then Obs.enable ();
     let sys = or_die (load file) in
     let session = Incremental.create sys in

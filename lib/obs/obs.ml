@@ -30,7 +30,7 @@ type sink = {
    aggregate table but stop retaining individual events. *)
 let max_events = 1_000_000
 
-let clock = ref Sys.time
+let clock = ref Unix.gettimeofday
 let set_clock f = clock := f
 
 (* The publication point is an [Atomic]: domains other than the installer

@@ -3,7 +3,7 @@
     or {{:https://ui.perfetto.dev}Perfetto} can load it) and a plain-text
     summary table.
 
-    The layer is stdlib-only and {e off by default}: a single globally
+    The layer is {e off by default}: a single globally
     registered nullable sink keeps the disabled-mode cost of every event to
     one atomic read and one branch, so instrumentation can stay in the hot
     modules permanently. Enabling installs a fresh sink (published through
@@ -21,8 +21,8 @@
 
 val set_clock : (unit -> float) -> unit
 (** Install the time source (seconds, as a float). The default is
-    [Sys.time] — CPU time, which keeps the library stdlib-only; front-ends
-    that want wall-clock traces install [Unix.gettimeofday]. *)
+    [Unix.gettimeofday], wall time, so every entry point that enables the
+    sink records wall-clock spans; tests install fake clocks. *)
 
 val enable : unit -> unit
 (** Install a fresh sink (discarding any previously collected data). *)

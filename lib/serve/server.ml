@@ -727,7 +727,6 @@ let run ?stop cfg =
   if cfg.workers < 1 then Error "serve: need at least one worker"
   else if cfg.queue_capacity < 0 then Error "serve: negative queue capacity"
   else begin
-    Obs.set_clock Unix.gettimeofday;
     if not (Obs.enabled ()) then Obs.enable ();
     register_counters ();
     match

@@ -66,9 +66,8 @@ val default_config : socket:string -> config
 val run : ?stop:bool Atomic.t -> config -> (unit, string) result
 (** Serve until SIGTERM/SIGINT. [Error] when the daemon cannot start
     (socket in use by a live daemon, bind failure, bad config); once
-    serving it only returns via a clean shutdown. Installs
-    [Unix.gettimeofday] as the {!Ermes_obs.Obs} clock and enables the sink
-    so [metrics] works without any tracing flag.
+    serving it only returns via a clean shutdown. Enables the
+    {!Ermes_obs.Obs} sink so [metrics] works without any tracing flag.
 
     With [stop] the caller owns the lifecycle instead of the signals: no
     SIGTERM/SIGINT handlers are installed and setting the atomic makes the

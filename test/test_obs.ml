@@ -26,6 +26,16 @@ let test_disabled () =
   Alcotest.(check bool) "no span stats" true (Obs.span_stats () = []);
   Alcotest.(check string) "empty trace" "{\"traceEvents\":[]}\n" (Obs.chrome_trace ())
 
+(* With no clock installed, a span measures wall time: a 50 ms sleep reads
+   at least 40 ms, where CPU time would read almost nothing. *)
+let test_default_clock_is_wall_time () =
+  with_obs @@ fun () ->
+  Obs.span "sleep" (fun () -> Unix.sleepf 0.05);
+  match Obs.span_stats () with
+  | [ s ] ->
+    if s.Obs.total_s < 0.04 then Alcotest.failf "a 50 ms sleep read %.3f ms" (1000. *. s.Obs.total_s)
+  | _ -> Alcotest.fail "expected one span name"
+
 let test_enable_resets () =
   with_obs @@ fun () ->
   Obs.incr ~by:7 "x";
@@ -167,7 +177,7 @@ let test_span_stats_past_cap () =
   Obs.set_clock (fun () ->
       tick := !tick +. 1.;
       !tick);
-  Fun.protect ~finally:(fun () -> Obs.set_clock Sys.time) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.set_clock Unix.gettimeofday) @@ fun () ->
   with_obs @@ fun () ->
   let n = Obs.max_events + 10 in
   for _ = 1 to n do
@@ -189,7 +199,7 @@ let test_trace_keeps_every_event () =
   Obs.set_clock (fun () ->
       tick := !tick +. 1.;
       !tick);
-  Fun.protect ~finally:(fun () -> Obs.set_clock Sys.time) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.set_clock Unix.gettimeofday) @@ fun () ->
   with_obs @@ fun () ->
   let n = 10_000 in
   for _ = 1 to n do
@@ -314,6 +324,8 @@ let () =
         [
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled;
           Alcotest.test_case "enable resets" `Quick test_enable_resets;
+          Alcotest.test_case "default clock is wall time" `Quick
+            test_default_clock_is_wall_time;
         ] );
       ("counters", [ Alcotest.test_case "exact on motivating" `Quick test_counters_exact ]);
       ( "determinism",
