@@ -76,11 +76,3 @@ let stats t =
         misses = t.misses;
         evictions = t.evictions;
       })
-
-let reset t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      t.tick <- 0;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)

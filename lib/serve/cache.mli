@@ -33,6 +33,3 @@ val add : 'a t -> string -> 'a -> unit
 type stats = { size : int; capacity : int; hits : int; misses : int; evictions : int }
 
 val stats : 'a t -> stats
-
-val reset : 'a t -> unit
-(** Drop all entries and zero the counters (a fresh daemon start in tests). *)

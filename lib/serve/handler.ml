@@ -36,6 +36,8 @@ let inject_of_body body =
     | _ -> Error (Printf.sprintf "bad sleep duration in %S" s))
   | Some s -> Error (Printf.sprintf "unknown inject %S" s)
 
+(* Raise or sleep per the spec. [attempts] counts supervised attempts of
+   this request, so [Flaky n] fails exactly its first [n]. *)
 let apply_inject ~attempts ~cancel = function
   | No_inject | Kill_worker -> ()
   | Crash -> failwith "injected crash"

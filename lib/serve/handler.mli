@@ -39,11 +39,6 @@ type inject = No_inject | Crash | Flaky of int | Sleep of int | Kill_worker
 val inject_of_body : Proto.json -> (inject, string) result
 (** Reads the optional ["inject"] field. *)
 
-val apply_inject : attempts:int ref -> cancel:Cancel.t -> inject -> unit
-(** Raise/sleep per the spec. [attempts] counts supervised attempts of this
-    request so [Flaky n] fails exactly its first [n]. [Sleep] polls the
-    cancellation token every 10 ms, so an expired deadline interrupts it. *)
-
 val execute :
   deps -> cancel:Cancel.t -> attempts:int ref -> client:string -> Proto.request -> Proto.json
 (** Run one request to a reply. Applies the request's [inject] first (so
