@@ -768,8 +768,8 @@ let batch_cmd =
   in
   let max_attempts =
     Arg.(value & opt int 3 & info [ "max-attempts" ] ~docv:"N"
-           ~doc:"Attempts per job before it is quarantined (>= 1); retries back off \
-                 exponentially with a deterministic jitter.")
+           ~doc:"Attempts per job before it is quarantined (>= 1); a failed attempt \
+                 is retried at once.")
   in
   let timeout =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SEC"
@@ -815,7 +815,7 @@ let batch_cmd =
     (Cmd.info "batch" ~exits
        ~doc:"Process a batch of .soc jobs (analyze/lint/simulate) under a supervised \
              runtime: parse errors, deadlocks and lint findings are isolated per job; \
-             crashing jobs are retried with backoff and quarantined; a JSON or text \
+             crashing jobs are retried at once and quarantined; a JSON or text \
              summary reports every job. Exit 0 when all jobs are ok, 2 when some \
              failed, 3 when the $(b,--max-seconds) watchdog expired.")
     (with_logs

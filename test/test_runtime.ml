@@ -66,9 +66,7 @@ let test_supervise_quarantine_jobs_invariant () =
          (supervised_pool ~jobs 23 task))
   in
   let ref_fp = fingerprint 1 in
-  let quarantined =
-    List.filter (fun s -> String.length s > 11 && String.sub s 0 11 = "quarantined") ref_fp
-  in
+  let quarantined = List.filter (String.starts_with ~prefix:"quarantined") ref_fp in
   Alcotest.(check int) "quarantined count" 5 (List.length quarantined);
   (* Each quarantined task made max_attempts = 3 attempts. *)
   Alcotest.(check bool) "three attempts each" true
