@@ -99,7 +99,6 @@ type report = {
   skipped : int;
   retries : int;
   watchdog : bool;
-  elapsed_s : float;
 }
 
 (* Expected domain failures — a file that does not parse, a design that
@@ -170,8 +169,6 @@ let supervised ~policy ~rounds job =
 
 let run ?jobs ?(policy = Supervise.default_policy) ?max_seconds ?(rounds = 64) entries =
   Obs.span "runtime.batch" @@ fun () ->
-  let clock = policy.Supervise.clock in
-  let t0 = clock () in
   let entries = Array.of_list entries in
   let n = Array.length entries in
   (* Waves bound how much work is in flight between watchdog checks; with no
@@ -184,8 +181,13 @@ let run ?jobs ?(policy = Supervise.default_policy) ?max_seconds ?(rounds = 64) e
   (* One clock read per wave, on this domain, before the wave starts: the
      first here, each later one as the previous wave's last result comes
      in. The workers of a wave only read [skip]. *)
-  let expired () =
-    match max_seconds with None -> false | Some s -> clock () -. t0 > s
+  let expired =
+    match max_seconds with
+    | None -> fun () -> false
+    | Some s ->
+      let clock = policy.Supervise.clock in
+      let t0 = clock () in
+      fun () -> clock () -. t0 > s
   in
   let skip = ref (n > 0 && expired ()) in
   let reports = ref [] in
@@ -209,7 +211,6 @@ let run ?jobs ?(policy = Supervise.default_policy) ?max_seconds ?(rounds = 64) e
     skipped;
     retries = List.fold_left (fun acc r -> acc + max 0 (r.attempts - 1)) 0 results;
     watchdog = skipped > 0;
-    elapsed_s = clock () -. t0;
   }
 
 (* Extends the CLI's exit contract: 0 everything succeeded, 2 some jobs

@@ -72,7 +72,6 @@ type report = {
   skipped : int;
   retries : int;
   watchdog : bool;  (** the batch-level [max_seconds] budget expired *)
-  elapsed_s : float;
 }
 
 val classify :
