@@ -32,7 +32,7 @@ let outcome_tag = function
   | Supervise.Timed_out _ -> "timed-out"
   | Supervise.Quarantined _ -> "quarantined"
 
-(* ---- supervised attempts --------------------------------------------------- *)
+(* ---- supervised attempts ------------------------------------------------- *)
 
 (* [n] tasks, one supervised attempt each, fanned out the way Batch does. *)
 let supervised_pool ?policy ~jobs n task =
@@ -766,9 +766,9 @@ let write_temp_text text =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
   path
 
-(* The supervised pool's anchor property, on the engine that now owns it:
-   crash and healthy jobs on one file give the same reports at jobs 1 and
-   4, and each report sits in its job's slot. *)
+(* The supervised pool's anchor property, on Batch: crash and healthy jobs
+   on one file give the same reports at jobs 1 and 4, and each report sits
+   in its job's slot. *)
 let supervise_outcomes_prop =
   Helpers.qtest ~count:40 "supervise: outcomes jobs-invariant and slot-exact"
     QCheck2.Gen.(

@@ -484,7 +484,7 @@ let test_explicit_cancel_classified_timed_out () =
   | Supervise.Timed_out _ -> ()
   | _ -> Alcotest.fail "explicit cancel not classified Timed_out"
 
-(* ---- the batch verb ---------------------------------------------------------- *)
+(* ---- the batch verb ------------------------------------------------------- *)
 
 (* The daemon's batch verb and [ermes batch] give every job the same verdict:
    each action on a healthy, a deadlocking, an unparsable and a self-loop
@@ -501,13 +501,14 @@ let test_batch_verb_agrees () =
          channel bb b b latency 1\n" );
     ]
   in
-  let actions = [ ("analyze", Batch.Analyze); ("lint", Batch.Lint); ("simulate", Batch.Simulate) ] in
   let cases =
-    List.concat_map (fun (d, text) -> List.map (fun (a, action) -> (d, text, a, action)) actions) designs
+    List.concat_map
+      (fun (d, text) -> List.map (fun a -> (d, text, a)) Batch.[ Analyze; Lint; Simulate ])
+      designs
   in
   let files =
     List.map
-      (fun (_, text, _, _) ->
+      (fun (_, text, _) ->
         let path = Filename.temp_file "ermes_serve" ".soc" in
         Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
         path)
@@ -517,7 +518,7 @@ let test_batch_verb_agrees () =
   let report =
     Batch.run ~rounds:64
       (List.map2
-         (fun file (_, _, _, action) -> { Batch.file; action; inject = Batch.No_inject })
+         (fun file (_, _, action) -> { Batch.file; action; inject = Batch.No_inject })
          files cases)
   in
   let deps =
@@ -529,10 +530,11 @@ let test_batch_verb_agrees () =
   in
   let jobs =
     List.map
-      (fun (_, text, a, _) -> Proto.Obj [ ("action", Proto.Str a); ("design", Proto.Str text) ])
+      (fun (_, text, a) ->
+        Proto.Obj [ ("action", Proto.Str (Batch.action_name a)); ("design", Proto.Str text) ])
       cases
   in
-  let body = Proto.Obj [ ("id", Proto.Int 1); ("verb", Proto.Str "batch"); ("jobs", Proto.Arr jobs) ] in
+  let body = Proto.Obj [ ("jobs", Proto.Arr jobs) ] in
   let reply =
     Handler.execute deps ~cancel:(Cancel.make ()) ~attempts:(ref 0) ~client:"t"
       { Proto.id = 1; verb = "batch"; body }
@@ -544,7 +546,8 @@ let test_batch_verb_agrees () =
   in
   Alcotest.(check int) "one item a job" (List.length cases) (List.length items);
   List.iter2
-    (fun ((d, _, a, _), item) (jr : Batch.job_report) ->
+    (fun ((d, _, a), item) (jr : Batch.job_report) ->
+      let a = Batch.action_name a in
       let want =
         match jr.Batch.status with
         | Batch.Job_ok detail -> ("ok", None, detail)
