@@ -12,14 +12,14 @@
              scale runtime chaos micro   *)
 
 module System = Ermes_slm.System
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Sim = Ermes_slm.Sim
 module To_tmg = Ermes_slm.To_tmg
-module Fsm = Ermes_slm.Fsm
+module Fsm = Ermes_support.Fsm
 module Tmg = Ermes_tmg.Tmg
 module Csr = Ermes_tmg.Csr
 module Verify = Ermes_verify.Verify
-module Cycles = Ermes_tmg.Cycles
+module Cycles = Ermes_support.Cycles
 module Firing = Ermes_tmg.Firing
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
@@ -817,8 +817,8 @@ let micro () =
   let synth_tmg = (To_tmg.build synth_sys).To_tmg.tmg in
   let motiv = Motivating.suboptimal () in
   let block = Array.init 64 (fun i -> ((i * 37) mod 256) - 128) in
-  let frame_a = Ermes_mpeg2.Frame.synthetic ~width:64 ~height:48 ~index:0 in
-  let frame_b = Ermes_mpeg2.Frame.synthetic ~width:64 ~height:48 ~index:1 in
+  let frame_a = Ermes_support.Frame.synthetic ~width:64 ~height:48 ~index:0 in
+  let frame_b = Ermes_support.Frame.synthetic ~width:64 ~height:48 ~index:1 in
   let tests =
     [
       Test.make ~name:"howard/motivating (15t,23p)"
@@ -850,7 +850,7 @@ let micro () =
       Test.make ~name:"to-tmg/mpeg2" (Staged.stage (fun () -> To_tmg.build mpeg2_sys));
       Test.make ~name:"sim-16-frames/motivating"
         (Staged.stage (fun () -> Sim.run ~max_iterations:16 motiv));
-      Test.make ~name:"dct-8x8-forward" (Staged.stage (fun () -> Ermes_mpeg2.Dct.forward block));
+      Test.make ~name:"dct-8x8-forward" (Staged.stage (fun () -> Ermes_support.Dct.forward block));
       Test.make ~name:"rtl-interp-1-frame/motivating"
         (Staged.stage
            (let rtl = Ermes_rtl.Soc_rtl.build motiv in
@@ -863,7 +863,7 @@ let micro () =
               done));
       Test.make ~name:"motion-search-16x16-r7"
         (Staged.stage (fun () ->
-             Ermes_mpeg2.Motion.search ~reference:frame_a ~current:frame_b ~x0:16 ~y0:16
+             Ermes_support.Motion.search ~reference:frame_a ~current:frame_b ~x0:16 ~y0:16
                ~size:16 ~range:7));
     ]
   in

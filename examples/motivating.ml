@@ -12,9 +12,9 @@
    Run with: dune exec examples/motivating.exe *)
 
 module System = Ermes_slm.System
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Sim = Ermes_slm.Sim
-module Fsm = Ermes_slm.Fsm
+module Fsm = Ermes_support.Fsm
 module Perf = Ermes_core.Perf
 module Order = Ermes_core.Order
 module Oracle = Ermes_core.Oracle

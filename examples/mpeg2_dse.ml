@@ -13,8 +13,8 @@
 
 module System = Ermes_slm.System
 module Soc = Ermes_mpeg2.Soc
-module Frame = Ermes_mpeg2.Frame
-module Encoder = Ermes_mpeg2.Encoder
+module Frame = Ermes_support.Frame
+module Encoder = Ermes_support.Encoder
 module Perf = Ermes_core.Perf
 module Explore = Ermes_core.Explore
 module Frontier = Ermes_core.Frontier

@@ -176,7 +176,7 @@ type injector = {
   mutable skew : float;
   mutable eintr_left : (fault * int) list;  (* per-storm remaining raises *)
   mutable enospc : bool;  (* a full disk stays full *)
-  mutable events_rev : string list;
+  mutable injections : int;
   plan : plan;
 }
 
@@ -201,14 +201,14 @@ let injector ?(base = Io.passthrough) plan =
         | _ -> None)
         plan;
     enospc = false;
-    events_rev = [];
+    injections = 0;
     plan;
   }
 
-let record t ~counter event =
+let record t ~counter =
   Obs.incr "chaos.injected";
   Obs.incr ("chaos.injected." ^ counter);
-  t.events_rev <- event :: t.events_rev
+  t.injections <- t.injections + 1
 
 let locked t f =
   Mutex.lock t.lock;
@@ -222,7 +222,7 @@ type write_action = W_pass | W_short of int | W_enospc | W_eintr
 let next_write t =
   locked t @@ fun () ->
   if t.enospc then begin
-    record t ~counter:"enospc" (Printf.sprintf "write %d: ENOSPC (disk still full)" (t.writes + 1));
+    record t ~counter:"enospc";
     W_enospc
   end
   else begin
@@ -241,7 +241,7 @@ let next_write t =
             | Write_eintr { op = o; _ } when o = op -> (f, left - 1)
             | _ -> (f, left))
           t.eintr_left;
-      record t ~counter:"eintr" (Printf.sprintf "write %d: EINTR" op);
+      record t ~counter:"eintr";
       W_eintr
     end
     else begin
@@ -249,7 +249,7 @@ let next_write t =
       let enospc = List.exists (function Write_enospc { op = o } -> o = op | _ -> false) t.plan in
       if enospc then begin
         t.enospc <- true;
-        record t ~counter:"enospc" (Printf.sprintf "write %d: ENOSPC" op);
+        record t ~counter:"enospc";
         W_enospc
       end
       else
@@ -259,7 +259,7 @@ let next_write t =
             t.plan
         with
         | Some bytes ->
-          record t ~counter:"short" (Printf.sprintf "write %d: short write of %d byte(s)" op bytes);
+          record t ~counter:"short";
           W_short bytes
         | None -> W_pass
     end
@@ -282,7 +282,7 @@ let next_read t =
           | Read_eintr { op = o; _ } when o = op -> (f, left - 1)
           | _ -> (f, left))
       t.eintr_left;
-    record t ~counter:"eintr" (Printf.sprintf "read %d: EINTR" op);
+    record t ~counter:"eintr";
     true
   end
   else begin
@@ -297,11 +297,11 @@ let next_rename t =
   let op = t.renames + 1 in
   t.renames <- op;
   if List.exists (function Rename_skip { op = o } -> o = op | _ -> false) t.plan then begin
-    record t ~counter:"rename" (Printf.sprintf "rename %d: skipped" op);
+    record t ~counter:"rename";
     R_skip
   end
   else if List.exists (function Rename_torn { op = o } -> o = op | _ -> false) t.plan then begin
-    record t ~counter:"rename" (Printf.sprintf "rename %d: torn (both files left)" op);
+    record t ~counter:"rename";
     R_torn
   end
   else R_pass
@@ -314,7 +314,7 @@ let next_clock t =
     (function
       | Clock_skew { op = o; skew_s } when o = op ->
         t.skew <- t.skew +. skew_s;
-        record t ~counter:"skew" (Printf.sprintf "clock %d: skewed by %g s" op skew_s)
+        record t ~counter:"skew"
       | _ -> ())
     t.plan;
   t.skew
@@ -359,5 +359,4 @@ let io t =
         t.base.Io.clock () +. skew);
   }
 
-let injected t = locked t @@ fun () -> List.rev t.events_rev
-let injected_count t = locked t @@ fun () -> List.length t.events_rev
+let injected_count t = locked t @@ fun () -> t.injections

@@ -119,8 +119,4 @@ val injector : ?base:Io.t -> plan -> injector
 val io : injector -> Io.t
 (** The wrapped hooks carrying the plan's faults. *)
 
-val injected : injector -> string list
-(** Human-readable log of the injections performed so far, oldest first —
-    e.g. ["write 3: ENOSPC"]. *)
-
 val injected_count : injector -> int

@@ -17,9 +17,6 @@ type result = {
   deadlocked : int;  (** how many of them deadlock *)
 }
 
-val permutations : 'a list -> 'a list list
-(** All permutations, in lexicographic position order. *)
-
 type slice_outcome = {
   slice_best : (Ratio.t * (int list * int list) list) option;
       (** best cycle time in the slice and the winning per-process

@@ -11,5 +11,3 @@ val to_string :
     [arc_attrs] supply extra attribute pairs (e.g. [("label", "d=3")]);
     attribute values are quoted and escaped. *)
 
-val escape : string -> string
-(** Escape a string for use inside a double-quoted DOT attribute value. *)

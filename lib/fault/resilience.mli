@@ -35,9 +35,6 @@ val analyze : ?verify:bool -> System.t -> (t, string) result
 (** [analyze sys] builds the report; [Error] on deadlocked or degenerate
     systems. [verify] (default [false]) probes every bounded slack. *)
 
-val classify : threshold:int -> entry -> [ `Fragile | `Robust ]
-(** [`Fragile] iff the slack is bounded and ≤ [threshold]. *)
-
 val fragile : System.t -> threshold:int -> t -> (string * entry) list
 (** Named fragile components (processes and channels), sorted by slack,
     tightest first. *)

@@ -8,16 +8,11 @@
     holds. [fails] must be deterministic — it is re-evaluated on every
     candidate. *)
 
-val drop : fails:('a list -> bool) -> 'a list -> 'a list
-(** Repeatedly remove the first element whose removal keeps the list
-    failing, to a fixpoint: the result fails, and removing any single
-    element stops it failing. *)
-
-val reduce : fails:('a list -> bool) -> step:('a -> 'a option) -> 'a list -> 'a list
-(** Repeatedly replace the first element that [step] can weaken (e.g. halve
-    a magnitude) while the list keeps failing, to a fixpoint. *)
-
 val minimize : fails:('a list -> bool) -> step:('a -> 'a option) -> 'a list -> 'a list
-(** {!drop} then {!reduce} — the standard two-phase greedy shrink.
+(** The standard two-phase greedy shrink. First, repeatedly remove the first
+    element whose removal keeps the list failing, to a fixpoint: removing
+    any single element then stops it failing. Then repeatedly replace the
+    first element that [step] can weaken (e.g. halve a magnitude) while the
+    list keeps failing, to a fixpoint.
     Precondition: [fails] holds for the input (otherwise the input is
     returned unchanged). *)

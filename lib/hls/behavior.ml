@@ -47,12 +47,3 @@ let body_critical_path l =
     finish.(i) <- ready + Op.delay o.cls
   done;
   Array.fold_left max 0 finish
-
-let pp ppf b =
-  Format.fprintf ppf "@[<v>behavior %s (%d ops)@," b.name (op_count b);
-  List.iter
-    (fun l ->
-      Format.fprintf ppf "  loop %s: trip=%d body=%d ops recurrence=%d cp=%d@," l.label
-        l.trip (Array.length l.body) l.recurrence (body_critical_path l))
-    b.loops;
-  Format.fprintf ppf "@]"

@@ -46,5 +46,3 @@ val used_classes : t -> Op.cls list
 
 val body_critical_path : loop -> int
 (** Length in cycles of the longest dependence chain through one body. *)
-
-val pp : Format.formatter -> t -> unit

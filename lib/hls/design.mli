@@ -45,9 +45,6 @@ val evaluate : Behavior.t -> knobs -> point
     between loops. Area: functional units + registers + FSM control + sharing
     multiplexers (see the implementation for the coefficients). *)
 
-val default_unrolls : int list
-(** [[1; 2; 4; 8]] *)
-
 val sweep : ?unrolls:int list -> Behavior.t -> point list
 (** All knob combinations: unroll factors capped at each behavior's maximal
     trip count, both pipelining settings, all four sharing levels, and — for

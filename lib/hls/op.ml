@@ -24,8 +24,6 @@ let name = function
   | Logic -> "logic"
   | Cmp -> "cmp"
 
-let compare = Stdlib.compare
-
 type t = { cls : cls; deps : int list }
 
 let op ?(deps = []) cls = { cls; deps }

@@ -32,8 +32,6 @@ val unit_area : cls -> float
 
 val name : cls -> string
 
-val compare : cls -> cls -> int
-
 type t = {
   cls : cls;
   deps : int list;

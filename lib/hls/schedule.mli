@@ -9,8 +9,6 @@ type allocation = (Op.cls * int) list
 (** Units available per class. Classes absent from the list have zero units;
     scheduling a body that uses such a class raises [Invalid_argument]. *)
 
-val units : allocation -> Op.cls -> int
-
 val schedule : Op.t array -> allocation -> int array
 (** [schedule body alloc] returns per-operation finish times under list
     scheduling. @raise Invalid_argument if some class used by [body] has no

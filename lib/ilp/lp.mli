@@ -27,9 +27,6 @@ val make : objective -> float array -> row list -> t
 
 val row : (int * float) list -> op -> float -> row
 
-val eval_row : row -> float array -> float
-(** Left-hand-side value of a row at a point. *)
-
 val feasible : ?eps:float -> t -> float array -> bool
 (** [feasible lp x] checks non-negativity and every row within tolerance
     [eps] (default [1e-6]). *)

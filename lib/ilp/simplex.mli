@@ -23,10 +23,7 @@ type outcome =
 val solve : Lp.t -> outcome
 (** [solve lp] returns an optimal basic solution, or reports infeasibility /
     unboundedness. The solution satisfies [Lp.feasible lp x] up to the
-    module's tolerance. *)
-
-val eps : float
-(** Numerical tolerance used by the pivoting rules ([1e-9]). *)
+    pivoting rules' tolerance ([1e-9]). *)
 
 (** {1 Warm re-optimization} *)
 

@@ -2,7 +2,7 @@
 
     Each process's computation phase is described as loop nests over
     operation dataflow bodies whose shapes mirror the functional blocks
-    ({!Dct}, {!Motion}, …) at the 352×240 geometry of the paper's Table 1:
+    (DCT, motion search, …) at the 352×240 geometry of the paper's Table 1:
     330 macroblocks and 1320 8×8 blocks per frame. Trip counts and operation
     mixes are derived from those block algorithms, so the Pareto sets the
     mini-HLS produces have realistic spreads (a motion-estimation slice

@@ -121,6 +121,3 @@ let to_verilog (design : Ir.design) =
     design.Ir.signals;
   b "    end\n  end\nendmodule\n";
   Buffer.contents buf
-
-let write_file path design =
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (to_verilog design))

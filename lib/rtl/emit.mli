@@ -8,4 +8,3 @@
 
 val to_verilog : Ir.design -> string
 
-val write_file : string -> Ir.design -> unit

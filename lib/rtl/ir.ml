@@ -156,17 +156,3 @@ module Builder = struct
             (String.concat " " (List.map (fun s -> signals.(s).name) cycle))));
     design
 end
-
-let rec pp_expr design ppf = function
-  | Const (v, w) -> Format.fprintf ppf "%d'd%d" w v
-  | Sig s -> Format.pp_print_string ppf design.signals.(s).name
-  | Not a -> Format.fprintf ppf "~(%a)" (pp_expr design) a
-  | And (a, b) -> Format.fprintf ppf "(%a & %a)" (pp_expr design) a (pp_expr design) b
-  | Or (a, b) -> Format.fprintf ppf "(%a | %a)" (pp_expr design) a (pp_expr design) b
-  | Eq (a, b) -> Format.fprintf ppf "(%a == %a)" (pp_expr design) a (pp_expr design) b
-  | Lt (a, b) -> Format.fprintf ppf "(%a < %a)" (pp_expr design) a (pp_expr design) b
-  | Add (a, b) -> Format.fprintf ppf "(%a + %a)" (pp_expr design) a (pp_expr design) b
-  | Sub (a, b) -> Format.fprintf ppf "(%a - %a)" (pp_expr design) a (pp_expr design) b
-  | Mux (c, t, e) ->
-    Format.fprintf ppf "(%a ? %a : %a)" (pp_expr design) c (pp_expr design) t
-      (pp_expr design) e

@@ -70,11 +70,3 @@ end
 
 val signals_of : expr -> signal list -> signal list
 (** Prepend the signals an expression reads (with repetitions). *)
-
-val expr_width : design -> expr -> int
-(** Width of an expression: comparisons and logic ops are 1 bit wide when
-    their operands are comparisons... see the implementation note: [Eq]/[Lt]
-    are 1-bit; [Not]/[And]/[Or]/[Add]/[Sub]/[Mux] take their operands' common
-    width. @raise Invalid_argument on inconsistent operand widths. *)
-
-val pp_expr : design -> Format.formatter -> expr -> unit

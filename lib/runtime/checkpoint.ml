@@ -10,6 +10,7 @@ module Differential = Ermes_fault.Differential
 
 module Obs = Ermes_obs.Obs
 
+(* The identity under which DSE and oracle journals are validated. *)
 let system_fingerprint sys = Printf.sprintf "%08x" (Journal.crc32 (Soc_format.print sys))
 
 (* ---- degrade-instead-of-crash journal sink -------------------------------
@@ -168,6 +169,7 @@ let indexed ?io ~kind ~tag ~meta ~resume path run =
 
 (* ---- fuzz ---------------------------------------------------------------- *)
 
+(* [repro_dir] is left out: it does not affect outcomes. *)
 let fuzz_meta (c : Fuzz.config) =
   Printf.sprintf "seed=%d cases=%d max_processes=%d rounds=%d rtl=%b" c.Fuzz.seed
     c.Fuzz.cases c.Fuzz.max_processes c.Fuzz.rounds c.Fuzz.rtl

@@ -33,16 +33,7 @@ module Explore = Ermes_core.Explore
 module Oracle = Ermes_core.Oracle
 module Fuzz = Ermes_fault.Fuzz
 
-val system_fingerprint : System.t -> string
-(** CRC-32 (as 8 hex digits) of the system's canonical [.soc] print — the
-    identity under which DSE and oracle journals are validated. *)
-
 (** {1 Fuzz campaigns} *)
-
-val fuzz_meta : Fuzz.config -> string
-(** The fingerprint stored in (and checked against) a fuzz journal header:
-    seed, case count, process bound and rounds. [repro_dir] is excluded —
-    it does not affect outcomes. *)
 
 val encode_fuzz_case : case:int -> System.t -> Fuzz.case_outcome -> string
 val decode_fuzz_case : System.t -> string -> (int * Fuzz.case_outcome) option
@@ -80,7 +71,8 @@ val dse_run :
   System.t ->
   (Explore.trace, string) result
 (** {!Explore.run} with a checkpoint journal at [path]. The meta fingerprint
-    covers the initial system ({!system_fingerprint}) and every parameter
+    covers the initial system (the CRC-32 of its canonical [.soc] print) and
+    every parameter
     that shapes the trace. *)
 
 (** {1 Oracle search} *)

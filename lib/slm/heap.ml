@@ -3,7 +3,6 @@ module Vec = Ermes_digraph.Vec
 type 'a t = (int * 'a) Vec.t
 
 let create () = Vec.create ()
-let is_empty h = Vec.is_empty h
 let size h = Vec.length h
 
 let swap h i j =

@@ -84,9 +84,6 @@ type hooks = {
           of a token-removal fault (their initial enabling token is gone). *)
 }
 
-val no_hooks : hooks
-(** No stalls, no stuck processes — the unfaulted semantics. *)
-
 val default_max_cycles : max_iterations:int -> System.t -> int
 (** A generous but finite watchdog budget: every iteration of a live system
     completes within the sum of all process and channel latencies (the

@@ -113,7 +113,7 @@ let to_tmg (g : t) =
 
 type components = { comp : int array; comp_count : int }
 
-(* Same visit order as Scc.compute on a freshly built net (roots 0..n-1,
+(* Same visit order as the classic Tarjan on a freshly built net (roots 0..n-1,
    successors in ascending place-id order), hence the same reverse-topological
    component numbering; all stacks are flat int arrays. *)
 let strongly_connected (g : t) =
@@ -178,7 +178,7 @@ let strongly_connected (g : t) =
 (* Bucket transitions by component via counting sort: component [c] is
    [members.(row.(c)) .. members.(row.(c+1) - 1)], ascending vertex id within
    each component, components in ascending id order — the same shape
-   Scc.components yields. *)
+   the test suite's reference Tarjan yields. *)
 let component_members (g : t) { comp; comp_count } =
   let row = Array.make (comp_count + 1) 0 in
   for v = 0 to g.n - 1 do

@@ -54,7 +54,7 @@
     Which of several equally critical cycles is reported, and the iteration
     counts, may depend on warm starts and rewiring history; the ratio and
     the verdict never do. The test suite holds the solvers to each other
-    and to independent references: Johnson enumeration ({!Cycles}), the
+    and to independent references: Johnson enumeration (the test suite's [Cycles]), the
     max-plus schedule ({!Firing}), the token game and the simulator. *)
 
 type t = {
@@ -88,7 +88,7 @@ val to_tmg : t -> Tmg.t
 type components = {
   comp : int array;
       (** component id per transition, numbered in reverse topological order
-          exactly like {!Ermes_digraph.Scc.compute} on a freshly built net *)
+          exactly like the classic Tarjan on a freshly built net *)
   comp_count : int;
 }
 

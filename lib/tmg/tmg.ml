@@ -1,5 +1,4 @@
 module Digraph = Ermes_digraph.Digraph
-module Scc = Ermes_digraph.Scc
 module Dot = Ermes_digraph.Dot
 module Vec = Ermes_digraph.Vec
 
@@ -77,8 +76,6 @@ let graph tmg =
          (place_name tmg p, tokens tmg p))
   done;
   g
-
-let is_strongly_connected tmg = Scc.is_strongly_connected tmg.g
 
 let pp ppf tmg =
   Format.fprintf ppf "@[<v>tmg: %d transitions, %d places@," (transition_count tmg)

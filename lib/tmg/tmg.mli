@@ -90,8 +90,6 @@ val graph : t -> (string * int, string * int) Ermes_digraph.Digraph.t
     (name, delay), arc label = (name, tokens). Mutating it leaves the net
     unchanged. *)
 
-val is_strongly_connected : t -> bool
-
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump (transitions, then places with marking). *)
 

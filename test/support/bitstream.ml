@@ -40,7 +40,6 @@ module Reader = struct
 
   let of_writer w = { data = Writer.to_bytes w; length = Writer.bit_length w; pos = 0 }
 
-  let bit_position r = r.pos
   let bits_remaining r = r.length - r.pos
 
   let get_bit r =

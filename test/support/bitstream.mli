@@ -24,7 +24,6 @@ module Reader : sig
   val of_writer : Writer.t -> t
   (** Reads exactly the bits written (no padding visible). *)
 
-  val bit_position : t -> int
   val bits_remaining : t -> int
 
   val get_bit : t -> int

@@ -1,4 +1,6 @@
 module Digraph = Ermes_digraph.Digraph
+module Tmg = Ermes_tmg.Tmg
+module Ratio = Ermes_tmg.Ratio
 
 exception Too_many_cycles of int
 

@@ -21,9 +21,9 @@ val elementary_cycles :
 val count : ?limit:int -> ('v, 'a) Ermes_digraph.Digraph.t -> int
 (** Number of elementary cycles. *)
 
-val max_cycle_ratio_brute : Tmg.t -> (Ratio.t * Tmg.place list) option
+val max_cycle_ratio_brute : Ermes_tmg.Tmg.t -> (Ermes_tmg.Ratio.t * Ermes_tmg.Tmg.place list) option
 (** Exact maximum cycle ratio (delay sum / token sum) by full enumeration,
     with a witness cycle. [None] when the net is acyclic.
     @raise Too_many_cycles on nets with more than a million cycles
     @raise Invalid_argument if some cycle is token-free (deadlock — the ratio
-    is unbounded; check {!Liveness.is_live} first). *)
+    is unbounded; check {!Ermes_tmg.Liveness.is_live} first). *)

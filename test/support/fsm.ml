@@ -1,3 +1,5 @@
+module System = Ermes_slm.System
+
 type state = Reset | Get of System.channel | Compute of int | Put of System.channel
 
 type t = { process : System.process; states : state array }

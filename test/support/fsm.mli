@@ -9,23 +9,23 @@
 
     This module materializes that FSM from the system model, for
     documentation, DOT export, and structural tests; the discrete-event
-    simulator ({!Sim}) executes the same state structure directly. *)
+    simulator ({!Ermes_slm.Sim}) executes the same state structure directly. *)
 
 type state =
   | Reset
-  | Get of System.channel  (** stalls until the producer is ready *)
+  | Get of Ermes_slm.System.channel  (** stalls until the producer is ready *)
   | Compute of int  (** [Compute k]: k-th computation state, 0-based *)
-  | Put of System.channel  (** stalls until the consumer is ready *)
+  | Put of Ermes_slm.System.channel  (** stalls until the consumer is ready *)
 
 type t = {
-  process : System.process;
+  process : Ermes_slm.System.process;
   states : state array;
       (** [Reset] first, then the cyclic body in execution order: gets,
           computation chain, puts. After the last body state control returns
           to the first body state. *)
 }
 
-val of_process : System.t -> System.process -> t
+val of_process : Ermes_slm.System.t -> Ermes_slm.System.process -> t
 
 val io_state_count : t -> int
 (** Number of [Get]/[Put] states — "as many I/O states as the number of
@@ -33,7 +33,7 @@ val io_state_count : t -> int
 
 val compute_state_count : t -> int
 
-val pp : System.t -> Format.formatter -> t -> unit
+val pp : Ermes_slm.System.t -> Format.formatter -> t -> unit
 
-val to_dot : System.t -> t -> string
+val to_dot : Ermes_slm.System.t -> t -> string
 (** Graphviz rendering with wait self-loops on the I/O states. *)

@@ -1,3 +1,5 @@
+module System = Ermes_slm.System
+
 let base () =
   let sys = System.create ~name:"motivating" () in
   let add name latency = System.add_simple_process sys ~latency ~area:0.01 name in

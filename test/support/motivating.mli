@@ -22,19 +22,19 @@
     deadlock-free but yields cycle time 20 (throughput 0.05); the optimal
     ordering yields cycle time 12 (40% better); P6:gets(g,d,e) deadlocks. *)
 
-val system : unit -> System.t
+val system : unit -> Ermes_slm.System.t
 (** Fresh instance with the statement orders of Listing 1: P2 puts (b, d, f),
     P6 gets (d, e, g). *)
 
-val deadlocking : unit -> System.t
+val deadlocking : unit -> Ermes_slm.System.t
 (** §2's deadlock scenario: P6 reads first from P5, then from P2, then from
     P4 — gets (g, d, e). *)
 
-val suboptimal : unit -> System.t
+val suboptimal : unit -> Ermes_slm.System.t
 (** §2's deadlock-avoiding but serializing order: P2 puts (f, b, d), P6 gets
     (e, g, d). Cycle time 20. *)
 
-val optimal : unit -> System.t
+val optimal : unit -> Ermes_slm.System.t
 (** §4's optimal order: P2 puts (b, d, f), P6 gets (d, g, e). Cycle time
     12. *)
 

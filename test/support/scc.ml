@@ -1,3 +1,5 @@
+module Digraph = Ermes_digraph.Digraph
+
 type result = { component : int array; count : int }
 
 (* Iterative Tarjan over a flattened adjacency. The DFS machinery is four int

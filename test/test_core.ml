@@ -1,5 +1,5 @@
 module System = Ermes_slm.System
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Sim = Ermes_slm.Sim
 module Perf = Ermes_core.Perf
 module Order = Ermes_core.Order

@@ -21,7 +21,7 @@
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
 module Liveness = Ermes_tmg.Liveness
-module Cycles = Ermes_tmg.Cycles
+module Cycles = Ermes_support.Cycles
 module Csr = Ermes_tmg.Csr
 module Generate = Ermes_synth.Generate
 module To_tmg = Ermes_slm.To_tmg

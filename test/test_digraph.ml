@@ -1,6 +1,6 @@
 module Digraph = Ermes_digraph.Digraph
 module Traversal = Ermes_digraph.Traversal
-module Scc = Ermes_digraph.Scc
+module Scc = Ermes_support.Scc
 module Dot = Ermes_digraph.Dot
 
 (* Build a graph from an arc list over [n] unit-labelled vertices. *)

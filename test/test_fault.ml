@@ -9,7 +9,7 @@ module System = Ermes_slm.System
 module Sim = Ermes_slm.Sim
 module To_tmg = Ermes_slm.To_tmg
 module Soc_format = Ermes_slm.Soc_format
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Ratio = Ermes_tmg.Ratio
 module Liveness = Ermes_tmg.Liveness
 module Csr = Ermes_tmg.Csr

@@ -1,7 +1,7 @@
 module Lp = Ermes_ilp.Lp
 module Simplex = Ermes_ilp.Simplex
 module Branch_bound = Ermes_ilp.Branch_bound
-module Knapsack = Ermes_ilp.Knapsack
+module Knapsack = Ermes_support.Knapsack
 
 let feps = 1e-6
 

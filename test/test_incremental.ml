@@ -9,7 +9,7 @@
    though the representative cycle may differ when several tie. *)
 
 module System = Ermes_slm.System
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
 module Incremental = Ermes_core.Incremental

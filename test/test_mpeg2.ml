@@ -1,12 +1,12 @@
-module Frame = Ermes_mpeg2.Frame
-module Dct = Ermes_mpeg2.Dct
-module Quant = Ermes_mpeg2.Quant
-module Zigzag = Ermes_mpeg2.Zigzag
-module Rle = Ermes_mpeg2.Rle
-module Vlc = Ermes_mpeg2.Vlc
-module Bitstream = Ermes_mpeg2.Bitstream
-module Motion = Ermes_mpeg2.Motion
-module Encoder = Ermes_mpeg2.Encoder
+module Frame = Ermes_support.Frame
+module Dct = Ermes_support.Dct
+module Quant = Ermes_support.Quant
+module Zigzag = Ermes_support.Zigzag
+module Rle = Ermes_support.Rle
+module Vlc = Ermes_support.Vlc
+module Bitstream = Ermes_support.Bitstream
+module Motion = Ermes_support.Motion
+module Encoder = Ermes_support.Encoder
 module Behaviors = Ermes_mpeg2.Behaviors
 module Soc = Ermes_mpeg2.Soc
 module System = Ermes_slm.System

@@ -4,7 +4,7 @@
 
 module Obs = Ermes_obs.Obs
 module System = Ermes_slm.System
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Sim = Ermes_slm.Sim
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf

@@ -3,7 +3,7 @@ module Interp = Ermes_rtl.Interp
 module Emit = Ermes_rtl.Emit
 module Soc_rtl = Ermes_rtl.Soc_rtl
 module System = Ermes_slm.System
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Sim = Ermes_slm.Sim
 module Ratio = Ermes_tmg.Ratio
 

@@ -8,7 +8,7 @@
 
 module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Ratio = Ermes_tmg.Ratio
 module Explore = Ermes_core.Explore
 module Oracle = Ermes_core.Oracle

@@ -24,7 +24,7 @@ module Server = Ermes_serve.Server
 module Client = Ermes_serve.Client
 module Handler = Ermes_serve.Handler
 module Batch = Ermes_runtime.Batch
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 
 let contains = Astring_contains.contains
 
@@ -414,7 +414,7 @@ let test_session_rebuild =
 
 let test_session_cap_and_close () =
   let table = Session.create_table ~max_per_client:2 ~clock () in
-  let sys () = copy_sys (Ermes_slm.Motivating.system ()) in
+  let sys () = copy_sys (Ermes_support.Motivating.system ()) in
   (match Session.open_ table ~client:"c" ~name:"a" (sys ()) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "open a: %s" e);
@@ -441,7 +441,7 @@ let test_session_cap_and_close () =
 let test_session_reap_idle () =
   let now = ref 0. in
   let table = Session.create_table ~ttl_s:10. ~clock:(fun () -> !now) () in
-  let sys () = copy_sys (Ermes_slm.Motivating.system ()) in
+  let sys () = copy_sys (Ermes_support.Motivating.system ()) in
   ignore (Session.open_ table ~client:"c" ~name:"old" (sys ()));
   now := 100.;
   ignore (Session.open_ table ~client:"c" ~name:"new" (sys ()));

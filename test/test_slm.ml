@@ -1,9 +1,9 @@
 module System = Ermes_slm.System
 module To_tmg = Ermes_slm.To_tmg
-module Fsm = Ermes_slm.Fsm
+module Fsm = Ermes_support.Fsm
 module Sim = Ermes_slm.Sim
 module Soc_format = Ermes_slm.Soc_format
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Heap = Ermes_slm.Heap
 module Tmg = Ermes_tmg.Tmg
 module Csr = Ermes_tmg.Csr

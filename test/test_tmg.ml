@@ -1,7 +1,8 @@
 module Tmg = Ermes_tmg.Tmg
 module Liveness = Ermes_tmg.Liveness
 module Csr = Ermes_tmg.Csr
-module Cycles = Ermes_tmg.Cycles
+module Cycles = Ermes_support.Cycles
+module Scc = Ermes_support.Scc
 module Token_game = Ermes_tmg.Token_game
 module Firing = Ermes_tmg.Firing
 module Ratio = Ermes_tmg.Ratio
@@ -241,7 +242,7 @@ let prop_firing_matches_howard =
       | Error Csr.No_cycle -> true
       | Error (Csr.Deadlock _) -> false
       | Ok res ->
-        if not (Tmg.is_strongly_connected tmg) then true
+        if not (Scc.is_strongly_connected (Tmg.graph tmg)) then true
         else begin
           match Firing.measured_cycle_time tmg ~rounds:200 with
           | Some measured -> Ratio.equal measured res.Csr.cycle_time

@@ -14,7 +14,7 @@ module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module System = Ermes_slm.System
 module To_tmg = Ermes_slm.To_tmg
-module Motivating = Ermes_slm.Motivating
+module Motivating = Ermes_support.Motivating
 module Perf = Ermes_core.Perf
 module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
