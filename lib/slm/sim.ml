@@ -419,10 +419,10 @@ let steady_cycle_time ?(rounds = 64) ?monitor ?max_cycles ?(hooks = no_hooks) sy
        | { outcome = Completed; _ }, None -> No_period)
 
 let pp_deadlock sys ppf d =
-  Format.fprintf ppf "@[<v>deadlock at cycle %d:@," d.at_cycle;
+  Format.fprintf ppf "@[<v>deadlock at cycle %d:" d.at_cycle;
   List.iter
     (fun b ->
-      Format.fprintf ppf "  %s blocked on %s of %s@,"
+      Format.fprintf ppf "@,  %s blocked on %s of %s"
         (System.process_name sys b.process)
         (match b.direction with Waiting_get -> "get" | Waiting_put -> "put")
         (System.channel_name sys b.channel))

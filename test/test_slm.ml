@@ -287,6 +287,17 @@ let test_sim_deadlock_detection () =
          d.Sim.blocked)
   | _ -> Alcotest.fail "deadlock missed"
 
+let test_sim_deadlock_rendering () =
+  let sys = Motivating.deadlocking () in
+  match Sim.steady_cycle_time sys with
+  | Ok (Sim.Deadlock d) ->
+    Alcotest.(check string) "one line a blocked process, none after the last"
+      "deadlock at cycle 14:\n  Psrc blocked on put of a\n  P2 blocked on put of d\n\
+      \  P3 blocked on get of b\n  P4 blocked on put of e\n  P5 blocked on get of f\n\
+      \  P6 blocked on get of g\n  Psnk blocked on get of h"
+      (Format.asprintf "%a" (Sim.pp_deadlock sys) d)
+  | _ -> Alcotest.fail "deadlock missed"
+
 let test_sim_iteration_counts () =
   let sys = pipeline2 () in
   let snk = Option.get (System.find_process sys "snk") in
@@ -934,6 +945,7 @@ let () =
           Alcotest.test_case "pipeline" `Quick test_sim_pipeline_rate;
           Alcotest.test_case "motivating cycle times" `Quick test_sim_motivating;
           Alcotest.test_case "deadlock detection" `Quick test_sim_deadlock_detection;
+          Alcotest.test_case "deadlock rendering" `Quick test_sim_deadlock_rendering;
           Alcotest.test_case "iteration counting" `Quick test_sim_iteration_counts;
           Alcotest.test_case "max cycles cap" `Quick test_sim_max_cycles_cap;
           Alcotest.test_case "monitor choice" `Quick test_sim_monitor_choice;
