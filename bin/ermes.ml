@@ -206,7 +206,8 @@ let analyze_cmd =
             period, so the TMG cycle time is the product (the same contract
             the differential oracle checks). *)
          let qmon = Differential.monitor_repetition sys in
-         match Sim.steady_cycle_time sys with
+         let rounds = 64 in
+         match Sim.steady_cycle_time ~rounds sys with
          | Ok (Sim.Period r) ->
            let scaled = Ratio.mul r (Ratio.of_int qmon) in
            let verdict =
@@ -220,7 +221,11 @@ let analyze_cmd =
                "simulated steady-state cycle time: %a per monitor iteration, x%d firings \
                 per period = %a (%s)@."
                Ratio.pp r qmon Ratio.pp scaled verdict
-         | Ok Sim.No_period -> Format.printf "simulation: periodicity not reached; raise rounds@."
+         | Ok Sim.No_period ->
+           Format.printf
+             "simulation: no exact periodicity within %d rounds; ermes simulate --rounds N \
+              takes a larger budget@."
+             rounds
          | Ok (Sim.Deadlock d) ->
            Format.printf "simulation: %a@." (Sim.pp_deadlock sys) d;
            exit 2
