@@ -101,3 +101,9 @@ val chrome_trace : unit -> string
 
 val write_chrome_trace : string -> unit
 (** [write_chrome_trace file] writes {!chrome_trace} to [file]. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quote, backslash and
+    control characters escaped, every other byte verbatim. Every JSON
+    writer in ermes (traces, lint and batch reports, daemon frames) uses
+    it. *)

@@ -220,21 +220,6 @@ let exit_code r = if r.watchdog then 3 else if r.ok = List.length r.results then
 
 (* ---- reports ------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let status_detail = function
   | Job_ok d -> d
   | Job_failed { detail; _ } -> detail
@@ -251,13 +236,13 @@ let to_json r =
     (fun i jr ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "\n    {\"file\": \"%s\", \"action\": \"%s\", \"status\": \"%s\""
-        (json_escape jr.job.file) (action_name jr.job.action) (status_name jr.status);
+        (Obs.json_escape jr.job.file) (action_name jr.job.action) (status_name jr.status);
       (match jr.status with
       | Job_failed { category; _ } ->
-        Printf.bprintf b ", \"category\": \"%s\"" (json_escape category)
+        Printf.bprintf b ", \"category\": \"%s\"" (Obs.json_escape category)
       | _ -> ());
       Printf.bprintf b ", \"detail\": \"%s\", \"attempts\": %d}"
-        (json_escape (status_detail jr.status))
+        (Obs.json_escape (status_detail jr.status))
         jr.attempts)
     r.results;
   Printf.bprintf b "\n  ],\n  \"total\": %d,\n  \"ok\": %d,\n  \"failed\": %d,\n"

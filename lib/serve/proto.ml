@@ -11,22 +11,6 @@ type json =
 
 (* ---- emitter ------------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let float_to_string f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     invalid_arg "Proto.to_string: NaN/inf is not JSON"
@@ -46,7 +30,7 @@ let to_string v =
     | Float f -> Buffer.add_string b (float_to_string f)
     | Str s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
+      Buffer.add_string b (Ermes_obs.Obs.json_escape s);
       Buffer.add_char b '"'
     | Arr items ->
       Buffer.add_char b '[';
@@ -62,7 +46,7 @@ let to_string v =
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
+          Buffer.add_string b (Ermes_obs.Obs.json_escape k);
           Buffer.add_string b "\":";
           go x)
         fields;

@@ -4,6 +4,7 @@ module To_tmg = Ermes_slm.To_tmg
 module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module Ratio = Ermes_tmg.Ratio
+module Obs = Ermes_obs.Obs
 
 type severity = Error | Warning
 
@@ -430,34 +431,18 @@ let pp_text ppf r =
   Format.fprintf ppf "%s: %d error(s), %d warning(s)@." r.file (errors r)
     (warnings r)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
   let buf = Buffer.create 512 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "{\"file\":\"%s\",\"checked_semantics\":%b,\"errors\":%d,\"warnings\":%d,\"diagnostics\":["
-    (escape r.file) r.checked_semantics (errors r) (warnings r);
+    (Obs.json_escape r.file) r.checked_semantics (errors r) (warnings r);
   List.iteri
     (fun i d ->
       if i > 0 then pf ",";
       pf "{\"code\":\"%s\",\"severity\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-        (escape d.code)
+        (Obs.json_escape d.code)
         (match d.severity with Error -> "error" | Warning -> "warning")
-        d.line d.col (escape d.message))
+        d.line d.col (Obs.json_escape d.message))
     r.diagnostics;
   pf "]}";
   Buffer.contents buf
