@@ -250,8 +250,11 @@ let semantic_pass sys proc_pos =
   | Ok () ->
     let mapping = To_tmg.build sys in
     let tmg = mapping.To_tmg.tmg in
-    (match Liveness.find_dead_cycle tmg with
-    | Some dead ->
+    (* One warm solver gives the verdict and serves every probe: its deadlock
+       witness is the token-free cycle the pointer liveness pass reports. *)
+    let solver = Csr.make_solver tmg in
+    (match Csr.solve solver with
+    | Error (Csr.Deadlock dead) ->
       let places =
         String.concat " "
           (List.map (Ermes_tmg.Tmg.place_name tmg) dead.Liveness.dead_places)
@@ -269,48 +272,45 @@ let semantic_pass sys proc_pos =
         places
         (String.concat " " procs)
         (String.concat " " chans)
-    | None ->
+    | Error Csr.No_cycle -> ()  (* acyclic: no probes *)
+    | Ok base ->
       (* Live: probe every adjacent statement swap for a strict cycle-time
-         improvement, re-using one warm solver across probes. *)
-      let solver = Csr.make_solver tmg in
-      (match Csr.solve solver with
-      | Error _ -> ()  (* acyclic or (impossible here) deadlocked: no probes *)
-      | Ok base ->
-        let base_ct = base.Csr.cycle_time in
-        let probe p code keyword order set_order =
-          let order = Array.of_list (order sys p) in
-          let n = Array.length order in
-          for i = 0 to n - 2 do
-            let swapped = Array.copy order in
-            let tmp = swapped.(i) in
-            swapped.(i) <- swapped.(i + 1);
-            swapped.(i + 1) <- tmp;
-            set_order sys p (Array.to_list swapped);
-            To_tmg.rethread mapping sys p;
-            (match Csr.solve solver with
-            | Ok r when Ratio.( < ) r.Csr.cycle_time base_ct ->
-              let line, col =
-                try Hashtbl.find proc_pos (System.process_name sys p)
-                with Not_found -> (0, 0)
-              in
-              emit code Warning line col
-                "process %s: swapping adjacent %s of %s and %s improves the cycle time %s -> %s"
-                (System.process_name sys p)
-                keyword
-                (System.channel_name sys order.(i))
-                (System.channel_name sys order.(i + 1))
-                (Ratio.to_string base_ct)
-                (Ratio.to_string r.Csr.cycle_time)
-            | _ -> ());
-            set_order sys p (Array.to_list order);
-            To_tmg.rethread mapping sys p
-          done
-        in
-        List.iter
-          (fun p ->
-            probe p "W201" "gets" System.get_order System.set_get_order;
-            probe p "W202" "puts" System.put_order System.set_put_order)
-          (System.processes sys)));
+         improvement. *)
+      let base_ct = base.Csr.cycle_time in
+      let probe p code keyword order set_order =
+        let order = Array.of_list (order sys p) in
+        let n = Array.length order in
+        for i = 0 to n - 2 do
+          let swapped = Array.copy order in
+          let tmp = swapped.(i) in
+          swapped.(i) <- swapped.(i + 1);
+          swapped.(i + 1) <- tmp;
+          set_order sys p (Array.to_list swapped);
+          To_tmg.rethread mapping sys p;
+          (match Csr.solve solver with
+          | Ok r when Ratio.( < ) r.Csr.cycle_time base_ct ->
+            let line, col =
+              try Hashtbl.find proc_pos (System.process_name sys p)
+              with Not_found -> (0, 0)
+            in
+            emit code Warning line col
+              "process %s: swapping adjacent %s of %s and %s improves the cycle time %s -> %s"
+              (System.process_name sys p)
+              keyword
+              (System.channel_name sys order.(i))
+              (System.channel_name sys order.(i + 1))
+              (Ratio.to_string base_ct)
+              (Ratio.to_string r.Csr.cycle_time)
+          | _ -> ());
+          set_order sys p (Array.to_list order);
+          To_tmg.rethread mapping sys p
+        done
+      in
+      List.iter
+        (fun p ->
+          probe p "W201" "gets" System.get_order System.set_get_order;
+          probe p "W202" "puts" System.put_order System.set_put_order)
+        (System.processes sys));
     !diags
 
 (* ------------------------------------------------------------------ *)
