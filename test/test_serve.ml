@@ -110,6 +110,103 @@ let test_codec_parse_errors () =
       | Ok _ -> Alcotest.failf "accepted %S" s)
     [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}" ]
 
+(* Proto.of_string on a document that is one string, as it stood when its
+   string decoder copied one byte at a time: the reference the run-blitting
+   decoder must match, value and error text alike. *)
+let per_byte_string_document text =
+  let n = String.length text in
+  let pos = ref 0 in
+  let skip_ws () =
+    while
+      !pos < n && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      incr pos
+    done
+  in
+  let parse_string () =
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then failwith "unterminated string";
+      let c = text.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents buf
+      | '\\' ->
+        if !pos >= n then failwith "unterminated escape";
+        let e = text.[!pos] in
+        incr pos;
+        (match e with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' ->
+          if !pos + 4 > n then failwith "truncated \\u escape";
+          let hex = String.sub text !pos 4 in
+          pos := !pos + 4;
+          (match int_of_string_opt ("0x" ^ hex) with
+          | Some code when code < 0x100 -> Buffer.add_char buf (Char.chr code)
+          | Some _ -> failwith "non-latin1 \\u escape unsupported"
+          | None -> failwith "bad \\u escape")
+        | c -> failwith (Printf.sprintf "bad escape \\%c" c));
+        go ()
+      | c ->
+        Buffer.add_char buf c;
+        go ()
+    in
+    go ()
+  in
+  match
+    skip_ws ();
+    if !pos >= n || text.[!pos] <> '"' then invalid_arg "not a string document";
+    incr pos;
+    let s = parse_string () in
+    skip_ws ();
+    if !pos <> n then failwith "trailing garbage";
+    s
+  with
+  | s -> Ok (Proto.Str s)
+  | exception Failure m -> Error m
+
+(* String documents built from pieces that hit every branch of the string
+   decoder: plain runs, quotes, each escape, \u with good and bad hex,
+   high and control bytes; closed or not, with or without trailing bytes.
+   Half are canonical renderings of random strings. *)
+let string_document_gen =
+  QCheck2.Gen.(
+    let piece =
+      oneof
+        [
+          string_size ~gen:(char_range 'a' 'z') (int_range 1 20);
+          oneofl
+            [ "\""; "\\"; "\\\""; "\\\\"; "\\/"; "\\n"; "\\t"; "\\r"; "\\b"; "\\f"; "\\q";
+              "\\u00e9"; "\\u0041"; "\\u20ac"; "\\u00_4"; "\\uzz12"; "\\u12"; "\\u";
+              "\xe9"; "\x01"; " "; "\n"; "{"; "é" ];
+        ]
+    in
+    let raw =
+      map
+        (fun (lead, pieces, close, tail) ->
+          lead ^ "\"" ^ String.concat "" pieces ^ (if close then "\"" else "") ^ tail)
+        (quad (oneofl [ ""; " "; "\n\t" ]) (list_size (int_range 0 12) piece) bool
+           (oneofl [ ""; " "; "\r\n"; "x"; ",1"; "\"" ]))
+    in
+    let canonical =
+      map (fun s -> Proto.to_string (Proto.Str s)) (string_size ~gen:char (int_range 0 40))
+    in
+    oneof [ raw; canonical ])
+
+let prop_string_decoder_matches_per_byte text =
+  Proto.of_string text = per_byte_string_document text
+
+let test_string_decoder =
+  Helpers.qtest ~count:2000 "string decoder equals the per-byte reference"
+    string_document_gen prop_string_decoder_matches_per_byte
+
 (* Frames fed to the decoder in arbitrary chunk sizes come back whole and
    in order. *)
 let prop_decoder_chunking (payloads, cuts) =
@@ -712,6 +809,7 @@ let () =
           Alcotest.test_case "rejects non-finite floats" `Quick
             test_codec_rejects_nonfinite;
           Alcotest.test_case "parse errors" `Quick test_codec_parse_errors;
+          test_string_decoder;
           test_decoder_chunking;
           Alcotest.test_case "poisons on bad prefix" `Quick
             test_decoder_poisons_on_bad_prefix;

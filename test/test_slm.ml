@@ -872,6 +872,109 @@ let prop_soc_roundtrip =
       | Ok sys' -> Soc_format.print sys' = Soc_format.print sys
       | Error _ -> false)
 
+(* Soc_format.print as it stood when it built its text with Printf, kinds
+   included: the bytes are the daemon's cache key and every journal's
+   fingerprint, so the Buffer-only printer must match it exactly. *)
+let printf_print sys =
+  let buf = Buffer.create 1024 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pf "system %s\n" (System.name sys);
+  List.iter
+    (fun p ->
+      pf "process %s" (System.process_name sys p);
+      (match System.phase sys p with
+       | System.Puts_first -> pf " puts_first"
+       | System.Gets_first -> ());
+      Array.iter
+        (fun (i : System.impl) ->
+          pf " impl %s latency %d area %.9g" i.tag i.latency i.area)
+        (System.impls sys p);
+      pf "\n")
+    (System.processes sys);
+  List.iter
+    (fun c ->
+      pf "channel %s %s %s latency %d%s\n" (System.channel_name sys c)
+        (System.process_name sys (System.channel_src sys c))
+        (System.process_name sys (System.channel_dst sys c))
+        (System.channel_latency sys c)
+        (match System.channel_kind sys c with
+         | System.Rendezvous -> ""
+         | System.Fifo d -> Printf.sprintf " fifo %d" d
+         | System.Multi_rate { produce; consume; depth } ->
+           Printf.sprintf " rate %d/%d fifo %d" produce consume depth
+         | System.Handshake { hold } -> Printf.sprintf " handshake %d" hold))
+    (System.channels sys);
+  List.iter
+    (fun p ->
+      if System.selected sys p <> 0 then
+        pf "select %s %d\n" (System.process_name sys p) (System.selected sys p);
+      (match System.get_order sys p with
+       | [] -> ()
+       | order ->
+         pf "gets %s %s\n" (System.process_name sys p)
+           (String.concat " " (List.map (System.channel_name sys) order)));
+      match System.put_order sys p with
+      | [] -> ()
+      | order ->
+        pf "puts %s %s\n" (System.process_name sys p)
+          (String.concat " " (List.map (System.channel_name sys) order)))
+    (System.processes sys);
+  Buffer.contents buf
+
+(* Systems the printer cannot tell from valid ones: every channel kind,
+   both phases, non-default selections, permuted orders, and areas at the
+   edges of %.9g (exponent switch-over, rounding past nine digits). *)
+let printable_system_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+      let area () =
+        match int 0 3 with
+        | 0 ->
+          [| 0.; 1e-05; 0.0001; 0.1; 1.; 7.; 1e8; 123456789.5; 1234567890.; 1e21; 5e-324 |].(
+          int 0 10)
+        | 1 -> float_of_int (int 0 1_000_000)
+        | 2 -> 10. ** float_of_int (int (-12) 25)
+        | _ -> Random.State.float st 1000.
+      in
+      let sys = System.create ~name:(Printf.sprintf "s%d" seed) () in
+      let np = int 2 7 in
+      let procs =
+        Array.init np (fun i ->
+            let impls =
+              List.init (int 1 3) (fun k ->
+                  { System.tag = Printf.sprintf "i%d" k; latency = int 0 5000; area = area () })
+            in
+            let phase = if int 0 3 = 0 then System.Puts_first else System.Gets_first in
+            let p = System.add_process sys ~phase ~impls (Printf.sprintf "p%d" i) in
+            System.select sys p (int 0 (List.length impls - 1));
+            p)
+      in
+      for c = 0 to int 1 12 do
+        let src = int 0 (np - 1) in
+        let dst = (src + int 1 (np - 1)) mod np in
+        let ch =
+          System.add_channel sys ~name:(Printf.sprintf "c%d" c) ~src:procs.(src)
+            ~dst:procs.(dst) ~latency:(int 1 99)
+        in
+        System.set_channel_kind sys ch
+          (match int 0 3 with
+          | 0 -> System.Rendezvous
+          | 1 -> System.Fifo (int 1 9)
+          | 2 ->
+            let produce = int 1 4 and consume = int 1 4 in
+            System.Multi_rate { produce; consume; depth = max produce consume + int 0 3 }
+          | _ -> System.Handshake { hold = int 0 5 })
+      done;
+      Helpers.permute_orders sys (List.init 8 (fun _ -> int 0 1000));
+      sys)
+    QCheck2.Gen.(int_range 0 1_000_000)
+
+let prop_print_matches_printf =
+  Helpers.qtest ~count:400 "print equals the Printf reference" printable_system_gen
+    (fun sys -> String.equal (Soc_format.print sys) (printf_print sys))
+
 (* System.validate and repetition_vector give the pointer reference's exact
    Ok / Error text on systems with injected defects. *)
 let prop_validate_matches_reference =
@@ -991,6 +1094,7 @@ let () =
           prop_deadlock_agreement;
           prop_heap_sorts;
           prop_soc_roundtrip;
+          prop_print_matches_printf;
           prop_fifo_depth_monotone;
           prop_fifo_sim_matches_analysis;
           prop_fifo_mixed_kinds_consistent;

@@ -328,6 +328,90 @@ let prop_lint_json_roundtrip sys =
   | Error _ -> true
   | Ok r -> lint_json_matches r
 
+(* The serialization warnings by exhaustion: every adjacent gets/puts swap
+   applied to a copy of the system and analyzed cold, each strict
+   improvement rendered in lint's message text at the process's
+   declaration. Lint must report exactly these W201/W202 lines. *)
+let reference_swap_warnings text sys =
+  let decl = Hashtbl.create 16 in
+  List.iteri
+    (fun i line ->
+      match String.split_on_char ' ' line with
+      | "process" :: name :: _ -> Hashtbl.replace decl name (i + 1, 9)
+      | _ -> ())
+    (String.split_on_char '\n' text);
+  match Perf.analyze sys with
+  | Error _ -> []
+  | Ok base ->
+    let base_ct = base.Perf.cycle_time in
+    let swaps p code keyword order set_order =
+      let order = Array.of_list (order sys p) in
+      List.filter_map
+        (fun i ->
+          let swapped = Array.copy order in
+          swapped.(i) <- order.(i + 1);
+          swapped.(i + 1) <- order.(i);
+          let copy = System.copy sys in
+          set_order copy p (Array.to_list swapped);
+          match Perf.analyze copy with
+          | Ok a when Ratio.(a.Perf.cycle_time < base_ct) ->
+            let name = System.process_name sys p in
+            let line, col = Hashtbl.find decl name in
+            Some
+              ( line,
+                col,
+                code,
+                Printf.sprintf
+                  "process %s: swapping adjacent %s of %s and %s improves the cycle time %s -> %s"
+                  name keyword
+                  (System.channel_name sys order.(i))
+                  (System.channel_name sys order.(i + 1))
+                  (Ratio.to_string base_ct)
+                  (Ratio.to_string a.Perf.cycle_time) )
+          | _ -> None)
+        (List.init (max 0 (Array.length order - 1)) Fun.id)
+    in
+    List.sort compare
+      (List.concat_map
+         (fun p ->
+           swaps p "W201" "gets" System.get_order System.set_get_order
+           @ swaps p "W202" "puts" System.put_order System.set_put_order)
+         (System.processes sys))
+
+let prop_lint_swaps_match_reference sys =
+  let text = Ermes_slm.Soc_format.print sys in
+  match (Lint.lint_string text, Ermes_slm.Soc_format.parse text) with
+  | Ok r, Ok parsed ->
+    let linted =
+      List.filter_map
+        (fun (d : Lint.diagnostic) ->
+          if d.code = "W201" || d.code = "W202" then
+            Some (d.line, d.col, d.code, d.message)
+          else None)
+        r.Lint.diagnostics
+    in
+    let expected = reference_swap_warnings text parsed in
+    if linted = expected then true
+    else
+      QCheck2.Test.fail_reportf "lint: %d warning(s), reference: %d\n%s" (List.length linted)
+        (List.length expected) text
+  | Error e, _ | _, Error e -> QCheck2.Test.fail_reportf "lint or parse failed: %s" e
+
+(* Fuzz cases mix FIFO, multi-rate and handshake channels with permuted
+   (sometimes deadlocking) orders; Generate's designs are larger
+   rendezvous pipelines with feedback under conservative orders. *)
+let fuzz_case_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      fst (Ermes_fault.Fuzz.gen_case (Ermes_synth.Prng.create ~seed) ~max_processes:12))
+    QCheck2.Gen.(int_range 1 1_000_000)
+
+let generated_design_gen =
+  QCheck2.Gen.map
+    (fun (processes, extra, seed) ->
+      Ermes_synth.Generate.scaled ~seed ~processes ~channels:(processes + extra) ())
+    QCheck2.Gen.(triple (int_range 12 40) (int_range 4 30) (int_range 1 1_000_000))
+
 (* ---- runner -------------------------------------------------------------- *)
 
 let () =
@@ -377,5 +461,9 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_lint_json_roundtrip;
           Helpers.qtest ~count:60 "json roundtrip (random systems)"
             Helpers.dag_system_gen prop_lint_json_roundtrip;
+          Helpers.qtest ~count:150 "fuzz cases: swaps match reference"
+            fuzz_case_gen prop_lint_swaps_match_reference;
+          Helpers.qtest ~count:40 "generated: swaps match reference"
+            generated_design_gen prop_lint_swaps_match_reference;
         ] );
     ]
