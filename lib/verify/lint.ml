@@ -1,6 +1,7 @@
 module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
 module To_tmg = Ermes_slm.To_tmg
+module Tmg = Ermes_tmg.Tmg
 module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module Ratio = Ermes_tmg.Ratio
@@ -257,7 +258,7 @@ let semantic_pass sys proc_pos =
     | Error (Csr.Deadlock dead) ->
       let places =
         String.concat " "
-          (List.map (Ermes_tmg.Tmg.place_name tmg) dead.Liveness.dead_places)
+          (List.map (Tmg.place_name tmg) dead.Liveness.dead_places)
       in
       let procs =
         To_tmg.processes_on_cycle mapping dead.Liveness.dead_transitions
@@ -274,10 +275,23 @@ let semantic_pass sys proc_pos =
         (String.concat " " chans)
     | Error Csr.No_cycle -> ()  (* acyclic: no probes *)
     | Ok base ->
-      (* Live: probe every adjacent statement swap for a strict cycle-time
-         improvement. *)
+      (* Live: probe adjacent statement swaps for a strict cycle-time
+         improvement. A swap rewires only its own process's chain places
+         ([To_tmg.rethread]). If every place of the cold solve's witness
+         cycle keeps its ends and tokens, that cycle still attains the base
+         cycle time, which then bounds the new one from below: the swap
+         cannot improve, so it is not solved. A process with no chain place
+         on the witness is skipped without a rethread. *)
       let base_ct = base.Csr.cycle_time in
-      let probe p code keyword order set_order =
+      let on_witness = Array.make (Tmg.place_count tmg) false in
+      List.iter (fun pl -> on_witness.(pl) <- true) base.Csr.critical_places;
+      let witness_moved =
+        List.exists (fun (pl, src, dst, tokens) ->
+            Tmg.place_src tmg pl <> src
+            || Tmg.place_dst tmg pl <> dst
+            || Tmg.tokens tmg pl <> tokens)
+      in
+      let probe p witness code keyword order set_order =
         let order = Array.of_list (order sys p) in
         let n = Array.length order in
         for i = 0 to n - 2 do
@@ -287,29 +301,38 @@ let semantic_pass sys proc_pos =
           swapped.(i + 1) <- tmp;
           set_order sys p (Array.to_list swapped);
           To_tmg.rethread mapping sys p;
-          (match Csr.solve solver with
-          | Ok r when Ratio.( < ) r.Csr.cycle_time base_ct ->
-            let line, col =
-              try Hashtbl.find proc_pos (System.process_name sys p)
-              with Not_found -> (0, 0)
-            in
-            emit code Warning line col
-              "process %s: swapping adjacent %s of %s and %s improves the cycle time %s -> %s"
-              (System.process_name sys p)
-              keyword
-              (System.channel_name sys order.(i))
-              (System.channel_name sys order.(i + 1))
-              (Ratio.to_string base_ct)
-              (Ratio.to_string r.Csr.cycle_time)
-          | _ -> ());
+          (if witness_moved witness then
+             match Csr.solve solver with
+             | Ok r when Ratio.( < ) r.Csr.cycle_time base_ct ->
+               let line, col =
+                 try Hashtbl.find proc_pos (System.process_name sys p)
+                 with Not_found -> (0, 0)
+               in
+               emit code Warning line col
+                 "process %s: swapping adjacent %s of %s and %s improves the cycle time %s -> %s"
+                 (System.process_name sys p)
+                 keyword
+                 (System.channel_name sys order.(i))
+                 (System.channel_name sys order.(i + 1))
+                 (Ratio.to_string base_ct)
+                 (Ratio.to_string r.Csr.cycle_time)
+             | _ -> ());
           set_order sys p (Array.to_list order);
           To_tmg.rethread mapping sys p
         done
       in
       List.iter
         (fun p ->
-          probe p "W201" "gets" System.get_order System.set_get_order;
-          probe p "W202" "puts" System.put_order System.set_put_order)
+          let witness =
+            Array.to_list mapping.To_tmg.chain_places.(p)
+            |> List.filter (fun pl -> on_witness.(pl))
+            |> List.map (fun pl ->
+                   (pl, Tmg.place_src tmg pl, Tmg.place_dst tmg pl, Tmg.tokens tmg pl))
+          in
+          if witness <> [] then begin
+            probe p witness "W201" "gets" System.get_order System.set_get_order;
+            probe p witness "W202" "puts" System.put_order System.set_put_order
+          end)
         (System.processes sys));
     !diags
 
