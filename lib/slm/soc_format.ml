@@ -283,46 +283,78 @@ let load source =
     | Ok () -> Ok sys
     | Error e -> Error ("invalid system: " ^ e))
 
+(* The primitive Printf's [%.9g] ends in: the same bytes, without
+   interpreting a format per area. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Printf-free: the daemon prints every design it is sent to key its cache,
+   and the text is also every journal's fingerprint, so the bytes are
+   pinned (test_slm holds them to a Printf copy). *)
 let print sys =
   let buf = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "system %s\n" (System.name sys);
+  let add = Buffer.add_string buf and char = Buffer.add_char buf in
+  let int i = add (string_of_int i) in
+  add "system ";
+  add (System.name sys);
+  char '\n';
   List.iter
     (fun p ->
-      pf "process %s" (System.process_name sys p);
+      add "process ";
+      add (System.process_name sys p);
       (match System.phase sys p with
-       | System.Puts_first -> pf " puts_first"
+       | System.Puts_first -> add " puts_first"
        | System.Gets_first -> ());
       Array.iter
         (fun (i : System.impl) ->
-          pf " impl %s latency %d area %.9g" i.tag i.latency i.area)
+          add " impl ";
+          add i.tag;
+          add " latency ";
+          int i.latency;
+          add " area ";
+          add (format_float "%.9g" i.area))
         (System.impls sys p);
-      pf "\n")
+      char '\n')
     (System.processes sys);
   List.iter
     (fun c ->
-      pf "channel %s %s %s latency %d%s\n" (System.channel_name sys c)
-        (System.process_name sys (System.channel_src sys c))
-        (System.process_name sys (System.channel_dst sys c))
-        (System.channel_latency sys c)
-        (match System.channel_kind sys c with
-         | System.Rendezvous -> ""
-         | k -> " " ^ System.string_of_kind k))
+      add "channel ";
+      add (System.channel_name sys c);
+      char ' ';
+      add (System.process_name sys (System.channel_src sys c));
+      char ' ';
+      add (System.process_name sys (System.channel_dst sys c));
+      add " latency ";
+      int (System.channel_latency sys c);
+      (match System.channel_kind sys c with
+       | System.Rendezvous -> ()
+       | k ->
+         char ' ';
+         add (System.string_of_kind k));
+      char '\n')
     (System.channels sys);
+  let order keyword p = function
+    | [] -> ()
+    | channels ->
+      add keyword;
+      add (System.process_name sys p);
+      List.iter
+        (fun c ->
+          char ' ';
+          add (System.channel_name sys c))
+        channels;
+      char '\n'
+  in
   List.iter
     (fun p ->
-      if System.selected sys p <> 0 then
-        pf "select %s %d\n" (System.process_name sys p) (System.selected sys p);
-      (match System.get_order sys p with
-       | [] -> ()
-       | order ->
-         pf "gets %s %s\n" (System.process_name sys p)
-           (String.concat " " (List.map (System.channel_name sys) order)));
-      match System.put_order sys p with
-      | [] -> ()
-      | order ->
-        pf "puts %s %s\n" (System.process_name sys p)
-          (String.concat " " (List.map (System.channel_name sys) order)))
+      if System.selected sys p <> 0 then begin
+        add "select ";
+        add (System.process_name sys p);
+        char ' ';
+        int (System.selected sys p);
+        char '\n'
+      end;
+      order "gets " p (System.get_order sys p);
+      order "puts " p (System.put_order sys p))
     (System.processes sys);
   Buffer.contents buf
 

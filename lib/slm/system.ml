@@ -51,10 +51,11 @@ let validate_kind = function
 
 let string_of_kind = function
   | Rendezvous -> "rendezvous"
-  | Fifo depth -> Printf.sprintf "fifo %d" depth
+  | Fifo depth -> "fifo " ^ string_of_int depth
   | Multi_rate { produce; consume; depth } ->
-    Printf.sprintf "rate %d/%d fifo %d" produce consume depth
-  | Handshake { hold } -> Printf.sprintf "handshake %d" hold
+    String.concat ""
+      [ "rate "; string_of_int produce; "/"; string_of_int consume; " fifo "; string_of_int depth ]
+  | Handshake { hold } -> "handshake " ^ string_of_int hold
 
 (* The canonical non-default annotation every printer shares: empty for the
    default rendezvous kind, otherwise a space and [string_of_kind] — exactly
