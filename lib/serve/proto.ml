@@ -81,13 +81,21 @@ let of_string text =
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
+    (* Each run of bytes up to the next quote or backslash is one blit. *)
     let rec go () =
+      let start = !pos in
+      let stop = ref start in
+      while !stop < n && match text.[!stop] with '"' | '\\' -> false | _ -> true do
+        incr stop
+      done;
+      Buffer.add_substring buf text start (!stop - start);
+      pos := !stop;
       if !pos >= n then raise (Bad "unterminated string");
       let c = text.[!pos] in
       advance ();
       match c with
       | '"' -> Buffer.contents buf
-      | '\\' ->
+      | _ (* a backslash *) ->
         if !pos >= n then raise (Bad "unterminated escape");
         let e = text.[!pos] in
         advance ();
@@ -109,9 +117,6 @@ let of_string text =
           | Some _ -> raise (Bad "non-latin1 \\u escape unsupported")
           | None -> raise (Bad "bad \\u escape"))
         | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-        go ()
-      | c ->
-        Buffer.add_char buf c;
         go ()
     in
     go ()
