@@ -147,7 +147,9 @@ let pp_analysis sys ppf a =
 let pp_failure sys ppf = function
   | No_cycle -> Format.fprintf ppf "no cycle in the system TMG"
   | Deadlock d ->
-    Format.fprintf ppf "@[<v>deadlock: token-free cycle [%s]@,processes: %s@,channels: %s@]"
+    (* A label with an empty list ends at its colon, not in a space. *)
+    let names name xs = String.concat "" (List.map (fun x -> " " ^ name x) xs) in
+    Format.fprintf ppf "@[<v>deadlock: token-free cycle [%s]@,processes:%s@,channels:%s@]"
       (String.concat " " d.dead_cycle)
-      (String.concat " " (List.map (System.process_name sys) d.dead_processes))
-      (String.concat " " (List.map (System.channel_name sys) d.dead_channels))
+      (names (System.process_name sys) d.dead_processes)
+      (names (System.channel_name sys) d.dead_channels)

@@ -82,18 +82,17 @@ let pp sys ~threshold ppf r =
     | Some false -> " (VERIFICATION FAILED)"
     | None -> ""
   in
-  Format.fprintf ppf "@[<v>cycle time %a; fragility threshold %d@," Ratio.pp r.cycle_time
-    threshold;
-  Format.fprintf ppf "processes:@,";
+  Format.fprintf ppf "@[<v>cycle time %a; fragility threshold %d@,processes:" Ratio.pp
+    r.cycle_time threshold;
   List.iter
     (fun (p, e) ->
-      Format.fprintf ppf "  %-16s slack %a  %s%s@," (System.process_name sys p)
+      Format.fprintf ppf "@,  %-16s slack %a  %s%s" (System.process_name sys p)
         Perf.pp_slack e.slack (tag e) (mark e))
     r.processes;
-  Format.fprintf ppf "channels:@,";
+  Format.fprintf ppf "@,channels:";
   List.iter
     (fun (c, e) ->
-      Format.fprintf ppf "  %-16s slack %a  %s%s@," (System.channel_name sys c)
+      Format.fprintf ppf "@,  %-16s slack %a  %s%s" (System.channel_name sys c)
         Perf.pp_slack e.slack (tag e) (mark e))
     r.channels;
   Format.fprintf ppf "@]"
