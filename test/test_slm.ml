@@ -929,11 +929,12 @@ let printable_system_gen =
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+      let edges =
+        [| 0.; 1e-05; 0.0001; 0.1; 1.; 7.; 1e8; 123456789.5; 1234567890.; 1e21; 5e-324 |]
+      in
       let area () =
         match int 0 3 with
-        | 0 ->
-          [| 0.; 1e-05; 0.0001; 0.1; 1.; 7.; 1e8; 123456789.5; 1234567890.; 1e21; 5e-324 |].(
-          int 0 10)
+        | 0 -> edges.(int 0 (Array.length edges - 1))
         | 1 -> float_of_int (int 0 1_000_000)
         | 2 -> 10. ** float_of_int (int (-12) 25)
         | _ -> Random.State.float st 1000.
