@@ -23,7 +23,7 @@ module Parallel = Ermes_parallel.Parallel
 module Incremental = Ermes_core.Incremental
 module Obs = Ermes_obs.Obs
 module Verify = Ermes_verify.Verify
-module Lint = Ermes_verify.Lint
+module Lint = Ermes_core.Lint
 module Supervise = Ermes_runtime.Supervise
 module Batch = Ermes_runtime.Batch
 module Checkpoint = Ermes_runtime.Checkpoint

@@ -32,22 +32,12 @@ let session_analyze_exn session =
     Format.kasprintf failwith "Explore: %a"
       (Perf.pp_failure (Incremental.system session)) f
 
-let orders_signature sys =
-  List.map (fun p -> (System.get_order sys p, System.put_order sys p)) (System.processes sys)
-
-let restore_orders sys signature =
-  List.iteri
-    (fun p (gets, puts) ->
-      System.set_get_order sys p gets;
-      System.set_put_order sys p puts)
-    signature
-
 (* Reorder monotonically; returns whether the orders changed plus the fresh
    analysis. *)
 let reorder_if_better ~session sys =
-  let saved = orders_signature sys in
+  let saved = Order.snapshot sys in
   match Order.apply_safe ~session sys with
-  | Order.Applied _ -> (orders_signature sys <> saved, session_analyze_exn session)
+  | Order.Applied _ -> (Order.snapshot sys <> saved, session_analyze_exn session)
   | Order.Kept_incumbent _ -> (false, session_analyze_exn session)
 
 let run ?(max_iterations = 16) ?(reorder = true) ?area_budget ?checkpoint ?(resume = [])
@@ -68,7 +58,7 @@ let run ?(max_iterations = 16) ?(reorder = true) ?area_budget ?checkpoint ?(resu
   let best = ref None in
   let note_best ~ct ~area =
     let snapshot () =
-      (Ilp_select.selection_vector sys, orders_signature sys, ct, area)
+      (Ilp_select.selection_vector sys, Order.snapshot sys, ct, area)
     in
     let meets ct = Ratio.(ct <= Ratio.of_int tct) in
     let better (_, _, ct0, area0) =
@@ -87,7 +77,7 @@ let run ?(max_iterations = 16) ?(reorder = true) ?area_budget ?checkpoint ?(resu
     | None -> ()
     | Some (selection, orders, _, _) ->
       List.iteri (fun p i -> System.select sys p i) (Array.to_list selection);
-      restore_orders sys orders
+      Order.restore sys orders
   in
   let steps = ref [] in
   (* Every pushed step goes through the checkpoint hook with the full
@@ -101,7 +91,7 @@ let run ?(max_iterations = 16) ?(reorder = true) ?area_budget ?checkpoint ?(resu
         {
           snap_step = step;
           selection = Ilp_select.selection_vector sys;
-          orders = orders_signature sys;
+          orders = Order.snapshot sys;
         }
   in
   let finished = ref false in
@@ -131,7 +121,7 @@ let run ?(max_iterations = 16) ?(reorder = true) ?area_budget ?checkpoint ?(resu
       List.iter
         (fun s ->
           Array.iteri (fun p i -> System.select sys p i) s.selection;
-          restore_orders sys s.orders;
+          Order.restore sys s.orders;
           remember ();
           (match s.snap_step.action with
           | Converged -> finished := true

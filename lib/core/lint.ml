@@ -39,6 +39,12 @@ let compare_diag a b =
       let c = compare a.code b.code in
       if c <> 0 then c else compare a.message b.message
 
+(* Every pass adds its findings to one list; the report sorts them. *)
+let emit diags code severity line col fmt =
+  Printf.ksprintf
+    (fun message -> diags := { code; severity; line; col; message } :: !diags)
+    fmt
+
 (* ------------------------------------------------------------------ *)
 (* Declaration pass: three sweeps over the raw token stream, so every
    name/shape mistake is reported at its exact position even when the strict
@@ -53,13 +59,8 @@ type decl_tables = {
   outs : (string, string list) Hashtbl.t;  (* process -> output channel names *)
 }
 
-let declaration_pass lines =
-  let diags = ref [] in
-  let emit code severity line col fmt =
-    Printf.ksprintf
-      (fun message -> diags := { code; severity; line; col; message } :: !diags)
-      fmt
-  in
+let declaration_pass diags lines =
+  let emit code = emit diags code in
   let t =
     {
       proc_pos = Hashtbl.create 16;
@@ -223,31 +224,23 @@ let declaration_pass lines =
       then
         emit "E105" Error line col "process %S has no channels (isolated)" name)
     t.proc_pos;
-  !diags
+  t.proc_pos
 
 (* ------------------------------------------------------------------ *)
 (* Semantic pass: deadlock proof + serialization probes on the parsed
    system. *)
 (* ------------------------------------------------------------------ *)
 
-let semantic_pass sys proc_pos =
-  let diags = ref [] in
-  let emit code severity line col fmt =
-    Printf.ksprintf
-      (fun message -> diags := { code; severity; line; col; message } :: !diags)
-      fmt
-  in
+let semantic_pass diags sys proc_pos =
+  let emit code = emit diags code in
   match System.repetition_vector sys with
   | Error msg ->
     (* Inconsistent multi-rate weights: no common period, no unfolding, no
        TMG — its own code, distinct from the structural E105. *)
-    emit "E110" Error 0 0 "%s" msg;
-    !diags
+    emit "E110" Error 0 0 "%s" msg
   | Ok _ ->
   match System.validate sys with
-  | Error msg ->
-    emit "E105" Error 0 0 "invalid system structure: %s" msg;
-    !diags
+  | Error msg -> emit "E105" Error 0 0 "invalid system structure: %s" msg
   | Ok () ->
     let mapping = To_tmg.build sys in
     let tmg = mapping.To_tmg.tmg in
@@ -275,162 +268,66 @@ let semantic_pass sys proc_pos =
         (String.concat " " chans)
     | Error Csr.No_cycle -> ()  (* acyclic: no probes *)
     | Ok base ->
-      (* Live: probe adjacent statement swaps for a strict cycle-time
-         improvement. A swap rewires only its own process's chain places
-         ([To_tmg.rethread]). If every place of the cold solve's witness
-         cycle keeps its ends and tokens, that cycle still attains the base
-         cycle time, which then bounds the new one from below: the swap
-         cannot improve, so it is not solved. A process with no chain place
-         on the witness is skipped without a rethread. *)
+      (* Live: one swap sweep that keeps nothing reports every adjacent
+         statement swap that strictly lowers the cycle time. *)
       let base_ct = base.Csr.cycle_time in
-      let on_witness = Array.make (Tmg.place_count tmg) false in
-      List.iter (fun pl -> on_witness.(pl) <- true) base.Csr.critical_places;
-      let witness_moved =
-        List.exists (fun (pl, src, dst, tokens) ->
-            Tmg.place_src tmg pl <> src
-            || Tmg.place_dst tmg pl <> dst
-            || Tmg.tokens tmg pl <> tokens)
-      in
-      let probe p witness code keyword order set_order =
-        let order = Array.of_list (order sys p) in
-        let n = Array.length order in
-        for i = 0 to n - 2 do
-          let swapped = Array.copy order in
-          let tmp = swapped.(i) in
-          swapped.(i) <- swapped.(i + 1);
-          swapped.(i + 1) <- tmp;
-          set_order sys p (Array.to_list swapped);
-          To_tmg.rethread mapping sys p;
-          (if witness_moved witness then
-             match Csr.solve solver with
-             | Ok r when Ratio.( < ) r.Csr.cycle_time base_ct ->
-               let line, col =
-                 try Hashtbl.find proc_pos (System.process_name sys p)
-                 with Not_found -> (0, 0)
-               in
-               emit code Warning line col
-                 "process %s: swapping adjacent %s of %s and %s improves the cycle time %s -> %s"
-                 (System.process_name sys p)
-                 keyword
-                 (System.channel_name sys order.(i))
-                 (System.channel_name sys order.(i + 1))
-                 (Ratio.to_string base_ct)
-                 (Ratio.to_string r.Csr.cycle_time)
-             | _ -> ());
-          set_order sys p (Array.to_list order);
-          To_tmg.rethread mapping sys p
-        done
-      in
-      List.iter
-        (fun p ->
-          let witness =
-            Array.to_list mapping.To_tmg.chain_places.(p)
-            |> List.filter (fun pl -> on_witness.(pl))
-            |> List.map (fun pl ->
-                   (pl, Tmg.place_src tmg pl, Tmg.place_dst tmg pl, Tmg.tokens tmg pl))
-          in
-          if witness <> [] then begin
-            probe p witness "W201" "gets" System.get_order System.set_get_order;
-            probe p witness "W202" "puts" System.put_order System.set_put_order
-          end)
-        (System.processes sys));
-    !diags
+      ignore
+        (Order.sweep mapping solver sys ~base ~budget:max_int
+           ~keep:(fun (s : Order.swap) r ->
+             let name = System.process_name sys s.process in
+             let line, col = try Hashtbl.find proc_pos name with Not_found -> (0, 0) in
+             let code, keyword =
+               match s.side with `Gets -> ("W201", "gets") | `Puts -> ("W202", "puts")
+             in
+             emit code Warning line col
+               "process %s: swapping adjacent %s of %s and %s improves the cycle time %s -> %s"
+               name keyword
+               (System.channel_name sys s.first)
+               (System.channel_name sys s.second)
+               (Ratio.to_string base_ct)
+               (Ratio.to_string r.Csr.cycle_time);
+             false)))
 
 (* ------------------------------------------------------------------ *)
 
 let lint_string ?(file = "<stdin>") text =
   let limits = Soc_format.default_limits () in
-  if String.length text > limits.Soc_format.max_bytes then
+  let diags = ref [] in
+  let report checked_semantics =
+    Ok { file; diagnostics = List.sort compare_diag !diags; checked_semantics }
+  in
+  if String.length text > limits.Soc_format.max_bytes then begin
     (* Over the byte ceiling: diagnose and stop — tokenizing would build the
        very allocations the limit exists to prevent. *)
-    Ok
-      {
-        file;
-        diagnostics =
-          [
-            {
-              code = "E108";
-              severity = Error;
-              line = 0;
-              col = 0;
-              message =
-                Printf.sprintf
-                  "input is %d bytes, over the %d-byte limit (raise \
-                   ERMES_MAX_SOC_BYTES to lint larger descriptions)"
-                  (String.length text) limits.Soc_format.max_bytes;
-            };
-          ];
-        checked_semantics = false;
-      }
+    emit diags "E108" Error 0 0
+      "input is %d bytes, over the %d-byte limit (raise \
+       ERMES_MAX_SOC_BYTES to lint larger descriptions)"
+      (String.length text) limits.Soc_format.max_bytes;
+    report false
+  end
   else
-  let lines =
-    List.map Soc_format.tokenize (String.split_on_char '\n' text)
-  in
-  let limit_diags =
-    List.concat
-      (List.mapi
-         (fun i toks ->
-           List.filter_map
-             (fun (tok, col) ->
-               if String.length tok > limits.Soc_format.max_token then
-                 Some
-                   {
-                     code = "E108";
-                     severity = Error;
-                     line = i + 1;
-                     col;
-                     message =
-                       Printf.sprintf
-                         "token is %d bytes, over the %d-byte limit \
-                          (ERMES_MAX_SOC_TOKEN)"
-                         (String.length tok) limits.Soc_format.max_token;
-                   }
-               else None)
-             toks)
-         lines)
-  in
-  let decl_diags = limit_diags @ declaration_pass lines in
-  let decl_errors = List.exists (fun d -> d.severity = Error) decl_diags in
-  let parsed = Soc_format.parse text in
-  match (parsed, decl_errors) with
-  | Stdlib.Error msg, false ->
-    (* The strict parser rejected the file and no diagnostic explains why:
-       the input is invalid beyond linting. *)
-    Stdlib.Error msg
-  | Stdlib.Error _, true ->
-    Ok
-      {
-        file;
-        diagnostics = List.sort compare_diag decl_diags;
-        checked_semantics = false;
-      }
-  | Stdlib.Ok sys, _ ->
-    if decl_errors then
-      Ok
-        {
-          file;
-          diagnostics = List.sort compare_diag decl_diags;
-          checked_semantics = false;
-        }
-    else begin
-      (* Rebuild the process-position table for warning locations. *)
-      let proc_pos = Hashtbl.create 16 in
-      List.iteri
-        (fun i toks ->
-          match toks with
-          | ("process", _) :: (name, ncol) :: _ ->
-            if not (Hashtbl.mem proc_pos name) then
-              Hashtbl.replace proc_pos name (i + 1, ncol)
-          | _ -> ())
-        lines;
-      let sem_diags = semantic_pass sys proc_pos in
-      Ok
-        {
-          file;
-          diagnostics = List.sort compare_diag (decl_diags @ sem_diags);
-          checked_semantics = true;
-        }
-    end
+    let lines = List.map Soc_format.tokenize (String.split_on_char '\n' text) in
+    List.iteri
+      (fun i toks ->
+        List.iter
+          (fun (tok, col) ->
+            if String.length tok > limits.Soc_format.max_token then
+              emit diags "E108" Error (i + 1) col
+                "token is %d bytes, over the %d-byte limit (ERMES_MAX_SOC_TOKEN)"
+                (String.length tok) limits.Soc_format.max_token)
+          toks)
+      lines;
+    let proc_pos = declaration_pass diags lines in
+    if List.exists (fun d -> d.severity = Error) !diags then report false
+    else
+      match Soc_format.parse_tokens limits lines with
+      | Stdlib.Error msg ->
+        (* The strict parser rejected the file and no diagnostic explains
+           why: the input is invalid beyond linting. *)
+        Stdlib.Error msg
+      | Stdlib.Ok sys ->
+        semantic_pass diags sys proc_pos;
+        report true
 
 let lint_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -23,11 +23,6 @@ type slice_outcome = {
   slice_deadlocked : int;
 }
 
-let orders_signature sys =
-  List.map
-    (fun p -> (System.get_order sys p, System.put_order sys p))
-    (System.processes sys)
-
 let search ?(limit = 100_000) ?(jobs = 1) ?(checkpoint = fun ~slice:_ _ -> ())
     ?(resume = fun ~slice:_ -> None) sys =
   let combos = System.order_combinations sys in
@@ -86,7 +81,7 @@ let search ?(limit = 100_000) ?(jobs = 1) ?(checkpoint = fun ~slice:_ _ -> ())
           | None -> true
           | Some (ct, _) -> Ratio.(a.Perf.cycle_time < ct)
         in
-        if better then best := Some (a.Perf.cycle_time, orders_signature w)
+        if better then best := Some (a.Perf.cycle_time, Order.snapshot w)
       | Error (Perf.Deadlock _) -> incr deadlocked
       | Error Perf.No_cycle -> ()
     in
@@ -133,11 +128,7 @@ let search ?(limit = 100_000) ?(jobs = 1) ?(checkpoint = fun ~slice:_ _ -> ())
        the only thing the enumeration mutates, so this is exactly the copy
        the winning slice evaluated. *)
     let s = System.copy work in
-    List.iteri
-      (fun p (g, o) ->
-        System.set_get_order s p g;
-        System.set_put_order s p o)
-      signature;
+    Order.restore s signature;
     Some
       {
         best_cycle_time = ct;

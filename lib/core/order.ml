@@ -1,5 +1,8 @@
 module System = Ermes_slm.System
+module To_tmg = Ermes_slm.To_tmg
 module Traversal = Ermes_digraph.Traversal
+module Tmg = Ermes_tmg.Tmg
+module Csr = Ermes_tmg.Csr
 module Ratio = Ermes_tmg.Ratio
 
 let log_src = Logs.Src.create "ermes.order" ~doc:"channel ordering"
@@ -14,6 +17,18 @@ type labels = {
   tail_timestamp : int array;
   back_channel : bool array;
 }
+
+type orders = (System.channel list * System.channel list) list
+
+let snapshot sys =
+  List.map (fun p -> (System.get_order sys p, System.put_order sys p)) (System.processes sys)
+
+let restore sys orders =
+  List.iteri
+    (fun p (gets, puts) ->
+      System.set_get_order sys p gets;
+      System.set_put_order sys p puts)
+    orders
 
 let fresh_labels sys =
   let nc = System.channel_count sys in
@@ -206,64 +221,104 @@ let conservative sys =
              (List.map (System.channel_name sys) cycle))));
   install_by_rank sys rank
 
-(* First-improvement greedy: sweep all adjacent swaps, keep each strict
-   improvement immediately, repeat until a full sweep finds none. Every
-   probe goes through one incremental session on [sys] (an order change is
-   a chain rewire plus a warm Howard run, not a TMG rebuild). *)
+type swap = {
+  process : System.process;
+  side : [ `Gets | `Puts ];
+  first : System.channel;
+  second : System.channel;
+}
+
+(* A swap rewires only its own process's chain places ([To_tmg.rethread]),
+   so the witness places it can move are that process's: [witness] lists
+   them with their ends and tokens before the swap. If none moved, the
+   witness cycle survives with the base ratio, which then bounds the new
+   cycle time from below, and the swap cannot improve. *)
+let sweep mapping solver sys ~base ~budget ~keep =
+  let tmg = mapping.To_tmg.tmg in
+  let on_witness = Array.make (Tmg.place_count tmg) false in
+  let mark r flag = List.iter (fun pl -> on_witness.(pl) <- flag) r.Csr.critical_places in
+  mark base true;
+  let base = ref base and tried = ref 0 in
+  let witness p =
+    Array.fold_right
+      (fun pl acc ->
+        if on_witness.(pl) then
+          (pl, Tmg.place_src tmg pl, Tmg.place_dst tmg pl, Tmg.tokens tmg pl) :: acc
+        else acc)
+      mapping.To_tmg.chain_places.(p) []
+  in
+  let moved =
+    List.exists (fun (pl, src, dst, tokens) ->
+        Tmg.place_src tmg pl <> src
+        || Tmg.place_dst tmg pl <> dst
+        || Tmg.tokens tmg pl <> tokens)
+  in
+  let side_sweep p side order set_order =
+    let w = ref (witness p) in
+    for i = 0 to List.length (order sys p) - 2 do
+      if !tried < budget then begin
+        incr tried;
+        if !w <> [] then begin
+          let before = order sys p in
+          let swapped = Array.of_list before in
+          let first = swapped.(i) and second = swapped.(i + 1) in
+          swapped.(i) <- second;
+          swapped.(i + 1) <- first;
+          set_order sys p (Array.to_list swapped);
+          To_tmg.rethread mapping sys p;
+          let kept =
+            moved !w
+            &&
+            match Csr.solve solver with
+            | Ok r when Ratio.(r.Csr.cycle_time < !base.Csr.cycle_time) ->
+              keep { process = p; side; first; second } r
+              && begin
+                mark !base false;
+                mark r true;
+                base := r;
+                w := witness p;
+                true
+              end
+            | Ok _ | Error _ -> false
+          in
+          if not kept then begin
+            set_order sys p before;
+            To_tmg.rethread mapping sys p
+          end
+        end
+      end
+    done
+  in
+  List.iter
+    (fun p ->
+      side_sweep p `Gets System.get_order System.set_get_order;
+      side_sweep p `Puts System.put_order System.set_put_order)
+    (System.processes sys);
+  (!tried, !base)
+
+(* First-improvement greedy: keep every strict improvement of a sweep, and
+   sweep again until one sweep keeps nothing or the budget is spent. *)
 let local_search ?(max_evaluations = 10_000) sys =
   Obs.span "order.local_search" @@ fun () ->
-  let session = Incremental.create sys in
-  let best_ct =
-    ref
-      (match Incremental.cycle_time_opt session with
-       | Some ct -> ct
-       | None -> failwith "Order.local_search: the incumbent orders deadlock")
+  let mapping = To_tmg.build sys in
+  let solver = Csr.make_solver mapping.To_tmg.tmg in
+  let base =
+    match Csr.solve solver with
+    | Ok r -> r
+    | Error _ -> failwith "Order.local_search: the incumbent orders deadlock"
   in
-  let evals = ref 0 in
-  (* Try one adjacent swap at position i of [get] (or [put]) order of p;
-     keep it only on strict improvement. *)
-  let try_swap get_order set_order p i =
-    if !evals >= max_evaluations then false
-    else begin
-      let order = Array.of_list (get_order sys p) in
-      if i + 1 >= Array.length order then false
-      else begin
-        let t = order.(i) in
-        order.(i) <- order.(i + 1);
-        order.(i + 1) <- t;
-        set_order sys p (Array.to_list order);
-        incr evals;
-        match Incremental.cycle_time_opt session with
-        | Some ct when Ratio.(ct < !best_ct) ->
-          best_ct := ct;
-          true
-        | Some _ | None ->
-          (* Roll back. *)
-          let t = order.(i) in
-          order.(i) <- order.(i + 1);
-          order.(i + 1) <- t;
-          set_order sys p (Array.to_list order);
-          false
-      end
-    end
+  let rec go evals base =
+    let tried, base' =
+      sweep mapping solver sys ~base ~budget:(max_evaluations - evals)
+        ~keep:(fun _ _ -> true)
+    in
+    let evals = evals + tried in
+    (* A kept swap's solve replaces the base. *)
+    if base' != base && evals < max_evaluations then go evals base' else evals
   in
-  let improved = ref true in
-  while !improved && !evals < max_evaluations do
-    improved := false;
-    List.iter
-      (fun p ->
-        let sweep get_order set_order =
-          let k = List.length (get_order sys p) in
-          for i = 0 to k - 2 do
-            if try_swap get_order set_order p i then improved := true
-          done
-        in
-        sweep System.get_order System.set_get_order;
-        sweep System.put_order System.set_put_order)
-      (System.processes sys)
-  done;
-  Obs.incr ~by:!evals "order.local_search.evals";
-  !evals
+  let evals = go 0 base in
+  Obs.incr ~by:evals "order.local_search.evals";
+  evals
 
 (* splitmix64, kept local so the core library stays free of global random
    state. *)
@@ -336,65 +391,39 @@ let apply_safe ?session sys =
     | Some ct -> ct
     | None -> failwith "Order.apply_safe: the incumbent orders deadlock"
   in
-  let saved =
-    List.map (fun p -> (System.get_order sys p, System.put_order sys p)) (System.processes sys)
-  in
-  let restore () =
-    List.iteri
-      (fun p (gets, puts) ->
-        System.set_get_order sys p gets;
-        System.set_put_order sys p puts)
-      saved
-  in
+  let saved = snapshot sys in
   (* Try the faithful algorithm first, the dependence-constrained variant
      second, and keep whichever live result is fastest (never worse than the
      incumbent). *)
   let lb = apply sys in
   let unconstrained =
-    match probe () with
-    | Some ct -> Some (ct, List.map (fun p -> (System.get_order sys p, System.put_order sys p)) (System.processes sys))
-    | None -> None
+    match probe () with Some ct -> Some (ct, snapshot sys) | None -> None
   in
-  restore ();
+  restore sys saved;
   let lb2 = apply_constrained sys in
   let constrained_ct =
     match probe () with
     | Some ct -> ct
     | None -> assert false (* linear extensions are always live *)
   in
-  let use_unconstrained =
+  let best_ct, best_lb, variant =
     match unconstrained with
-    | Some (ct, _) -> Ermes_tmg.Ratio.(ct <= constrained_ct)
-    | None -> false
+    | Some (ct, orders) when Ratio.(ct <= constrained_ct) ->
+      restore sys orders;
+      (ct, lb, "unconstrained")
+    | Some _ | None -> (constrained_ct, lb2, "constrained")
   in
-  let best_ct, best_lb =
-    if use_unconstrained then begin
-      (match unconstrained with
-       | Some (ct, orders) ->
-         List.iteri
-           (fun p (gets, puts) ->
-             System.set_get_order sys p gets;
-             System.set_put_order sys p puts)
-           orders;
-         (ct, lb)
-       | None -> assert false)
-    end
-    else (constrained_ct, lb2)
-  in
-  if Ermes_tmg.Ratio.(best_ct <= incumbent_ct) then begin
+  if Ratio.(best_ct <= incumbent_ct) then begin
     Log.debug (fun m ->
-        m "apply_safe: installed %s order (CT %s -> %s)"
-          (if use_unconstrained then "unconstrained" else "constrained")
-          (Ermes_tmg.Ratio.to_string incumbent_ct)
-          (Ermes_tmg.Ratio.to_string best_ct));
+        m "apply_safe: installed %s order (CT %s -> %s)" variant
+          (Ratio.to_string incumbent_ct) (Ratio.to_string best_ct));
     Applied best_lb
   end
   else begin
     Log.debug (fun m ->
         m "apply_safe: kept incumbent (best candidate %s > %s)"
-          (Ermes_tmg.Ratio.to_string best_ct)
-          (Ermes_tmg.Ratio.to_string incumbent_ct));
-    restore ();
+          (Ratio.to_string best_ct) (Ratio.to_string incumbent_ct));
+    restore sys saved;
     Kept_incumbent `Would_regress
   end
 

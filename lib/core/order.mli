@@ -30,6 +30,15 @@
 
 module System = Ermes_slm.System
 
+type orders = (System.channel list * System.channel list) list
+(** Every process's (get order, put order), in process order. *)
+
+val snapshot : System.t -> orders
+(** The system's current statement orders. *)
+
+val restore : System.t -> orders -> unit
+(** Install a {!snapshot} taken on this system or a copy of it. *)
+
 type labels = {
   head_weight : int array;  (** per channel *)
   head_timestamp : int array;
@@ -92,17 +101,45 @@ val conservative : System.t -> unit
     exists. @raise Invalid_argument when no deadlock-free order exists (a
     feedback loop without a [Puts_first] process). *)
 
+type swap = {
+  process : System.process;
+  side : [ `Gets | `Puts ];  (** which statement order the swap permutes *)
+  first : System.channel;  (** the earlier of the two channels before the swap *)
+  second : System.channel;
+}
+
+val sweep :
+  Ermes_slm.To_tmg.mapping ->
+  Ermes_tmg.Csr.solver ->
+  System.t ->
+  base:Ermes_tmg.Csr.result ->
+  budget:int ->
+  keep:(swap -> Ermes_tmg.Csr.result -> bool) ->
+  int * Ermes_tmg.Csr.result
+(** One pass over the adjacent-swap neighbourhood of the current orders
+    (paper §4's moves), on the net [mapping] built from [sys] and a warm
+    [solver] on it whose last answer is [base]. Processes are visited in
+    ascending order, each one's gets before its puts, positions ascending.
+    Each swap is applied to [sys] and rethreaded ({!Ermes_slm.To_tmg.rethread}),
+    and solved only when it changes the ends or tokens of a place of
+    [base]'s witness cycle: otherwise that cycle survives with the base
+    ratio, so the swap cannot lower the cycle time. A process with no chain
+    place on the witness is skipped without a rethread. On a strict
+    improvement, [keep swap result] decides: [true] keeps the swap, and
+    [result] becomes the base (ratio and witness) of the rest of the sweep;
+    [false] restores the order, as every other swap does. The sweep stops
+    trying once [budget] swaps were tried. Returns the swaps tried, solved
+    or skipped, and the final base. *)
+
 val local_search : ?max_evaluations:int -> System.t -> int
 (** Beyond the paper: an anytime first-improvement local search over
-    statement orders. Repeatedly tries swapping adjacent statements in every
-    process's get and put orders, keeping a swap when the analyzed cycle
-    time strictly improves (deadlocking or slower neighbours are rolled
-    back), until a full sweep finds no improvement or [max_evaluations]
-    analyses (default 10,000) have been spent. Monotone by construction;
-    typically run after {!apply_safe} to close its remaining optimality gap
-    (the ablation bench quantifies this). Every probe runs through one
-    incremental session on the input system. Returns the number of analyses
-    performed.
+    statement orders. Repeats {!sweep}, keeping every strict improvement,
+    until a sweep keeps nothing or [max_evaluations] swaps (default 10,000)
+    have been tried. Monotone by construction; typically run after
+    {!apply_safe} to close its remaining optimality gap (the ablation bench
+    quantifies this). Every swap counts as an analysis, solved or skipped,
+    so the count and the resulting orders are those of solving every swap.
+    Returns the number of analyses.
     @raise Failure if the incumbent orders deadlock. *)
 
 val conservative_random : seed:int -> System.t -> unit

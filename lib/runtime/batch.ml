@@ -2,7 +2,7 @@ module Soc_format = Ermes_slm.Soc_format
 module Sim = Ermes_slm.Sim
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
-module Lint = Ermes_verify.Lint
+module Lint = Ermes_core.Lint
 module Parallel = Ermes_parallel.Parallel
 module Obs = Ermes_obs.Obs
 

@@ -4,7 +4,7 @@ module Perf = Ermes_core.Perf
 module Explore = Ermes_core.Explore
 module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
-module Lint = Ermes_verify.Lint
+module Lint = Ermes_core.Lint
 module Obs = Ermes_obs.Obs
 module Cancel = Ermes_runtime.Supervise.Cancel
 module Batch = Ermes_runtime.Batch
@@ -91,11 +91,17 @@ let verdict_fields sys = function
   | Error Perf.No_cycle ->
     ("findings", [ ("detail", Str (Format.asprintf "%a" (Perf.pp_failure sys) Perf.No_cycle)) ])
 
-let certificate_fields (cert : Verify.t) checked =
-  [
-    ("certificate", Str (Verify.describe cert));
-    ("certificate_checked", Bool (Result.is_ok checked));
-  ]
+(* A certified analysis → (status, reply fields): the verdict, then its
+   certificate; a rejected certificate turns any verdict into findings. *)
+let certified_fields sys (c : Incremental.certified) =
+  let status, fields = verdict_fields sys c.Incremental.outcome in
+  let checked = c.Incremental.checked in
+  ( (if Result.is_error checked then "findings" else status),
+    fields
+    @ [
+        ("certificate", Str (Verify.describe c.Incremental.certificate));
+        ("certificate_checked", Bool (Result.is_ok checked));
+      ] )
 
 let session_fields name (o : Session.outcome) =
   [
@@ -111,27 +117,9 @@ let session_fields name (o : Session.outcome) =
         ] );
   ]
 
-let session_reply ~id ~verb ~name (o : Session.outcome) =
-  let c = o.Session.certified in
-  let sys_fields =
-    (* The certified record speaks raw-TMG terms for the proof and
-       system-level terms for the verdict. *)
-    match c.Incremental.outcome with
-    | Ok a ->
-      ( "ok",
-        ratio_fields "cycle_time" a.Perf.cycle_time
-        @ [ ("critical_cycle", Arr (List.map (fun s -> Str s) a.Perf.critical_cycle)) ] )
-    | Error _ -> ("deadlock", [ ("detail", Str "deadlock (see dead cycle certificate)") ])
-  in
-  let status, fields = sys_fields in
-  let status =
-    if Result.is_error c.Incremental.checked then "findings" else status
-  in
-  reply ~id ~verb status
-    ~extra:
-      (fields
-      @ certificate_fields c.Incremental.certificate c.Incremental.checked
-      @ session_fields name o)
+let session_reply ~id ~verb ~name sys (o : Session.outcome) =
+  let status, fields = certified_fields sys o.Session.certified in
+  reply ~id ~verb status ~extra:(fields @ session_fields name o)
 
 (* ---- verbs --------------------------------------------------------------- *)
 
@@ -153,13 +141,10 @@ let analyze_cold deps ~cancel ~id sys =
     Cancel.check cancel;
     let c = Incremental.analyze_certified session in
     Cancel.check cancel;
-    let checked = c.Incremental.checked in
-    let status, fields = verdict_fields sys c.Incremental.outcome in
-    let status = if Result.is_error checked then "findings" else status in
-    let fields = fields @ certificate_fields c.Incremental.certificate checked in
+    let status, fields = certified_fields sys c in
     (* Only proof-carrying verdicts are worth replaying; a rejected
        certificate signals an analysis bug and must be recomputed loudly. *)
-    if Result.is_ok checked then Cache.add deps.cache key (status, fields);
+    if Result.is_ok c.Incremental.checked then Cache.add deps.cache key (status, fields);
     reply ~id ~verb:"analyze" status
       ~extra:(fields @ [ ("design_hash", Str key); ("cached", Bool false) ])
 
@@ -177,7 +162,7 @@ let analyze deps ~cancel ~client req =
       Cancel.check cancel;
       match Session.reanalyze deps.sessions ~client ~name sys with
       | Error e -> invalid ~id ~verb:"analyze" e
-      | Ok outcome -> session_reply ~id ~verb:"analyze" ~name outcome))
+      | Ok outcome -> session_reply ~id ~verb:"analyze" ~name sys outcome))
 
 let session_open deps ~cancel ~client req =
   let id = req.id in
@@ -191,7 +176,7 @@ let session_open deps ~cancel ~client req =
       Obs.incr "serve.sessions_opened";
       match Session.open_ deps.sessions ~client ~name sys with
       | Error e -> error_reply ~id ~verb:"session-open" ~status:"client-cap" e
-      | Ok outcome -> session_reply ~id ~verb:"session-open" ~name outcome))
+      | Ok outcome -> session_reply ~id ~verb:"session-open" ~name sys outcome))
 
 let session_close deps ~client req =
   let id = req.id in

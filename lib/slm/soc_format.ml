@@ -157,12 +157,9 @@ let check_tokens limits toks =
     toks;
   toks
 
-let parse ?limits text =
-  Obs.span "soc_format.parse" @@ fun () ->
-  let limits = match limits with Some l -> l | None -> default_limits () in
-  match check_size limits text with
-  | Error e -> Error e
-  | Ok () ->
+(* The directive interpreter behind {!parse} and {!parse_tokens}:
+   [iter_lines f] calls [f lineno tokens] on every line in order. *)
+let interpret limits iter_lines =
   let sys = ref None in
   (* Whether a real [system] directive was seen ([sys] may hold a placeholder
      installed after an error, so that the remaining directives can still be
@@ -237,24 +234,38 @@ let parse ?limits text =
     | (tok, col) :: _ -> fail col "unknown directive %S" tok
   in
   let errors = ref [] in
-  let len = String.length text in
-  (* Line by line, in place: [start] is where line [lineno] begins. *)
-  let rec lines start lineno =
-    let stop = Option.value ~default:len (String.index_from_opt text start '\n') in
-    (match handle (check_tokens limits (line_tokens text start stop)) with
-     | () -> ()
-     | exception Parse_error (col, msg) ->
-       errors := Printf.sprintf "line %d, col %d: %s" lineno col msg :: !errors;
-       (* Install a placeholder so the remaining lines can still be checked
-          when the description never opened a system. *)
-       if !sys = None then sys := Some (System.create ~name:"(invalid)" ()));
-    if stop < len then lines (stop + 1) (lineno + 1)
-  in
-  lines 0 1;
+  iter_lines (fun lineno toks ->
+      match handle (check_tokens limits toks) with
+      | () -> ()
+      | exception Parse_error (col, msg) ->
+        errors := Printf.sprintf "line %d, col %d: %s" lineno col msg :: !errors;
+        (* Install a placeholder so the remaining lines can still be checked
+           when the description never opened a system. *)
+        if !sys = None then sys := Some (System.create ~name:"(invalid)" ()));
   match (List.rev !errors, !sys) with
   | [], Some s when !declared -> Ok s
   | [], _ -> Error "empty description: missing 'system NAME'"
   | errs, _ -> Error (String.concat "\n" errs)
+
+let parse ?limits text =
+  Obs.span "soc_format.parse" @@ fun () ->
+  let limits = match limits with Some l -> l | None -> default_limits () in
+  match check_size limits text with
+  | Error e -> Error e
+  | Ok () ->
+    let len = String.length text in
+    interpret limits (fun f ->
+        (* Line by line, in place: [start] is where line [lineno] begins. *)
+        let rec lines start lineno =
+          let stop = Option.value ~default:len (String.index_from_opt text start '\n') in
+          f lineno (line_tokens text start stop);
+          if stop < len then lines (stop + 1) (lineno + 1)
+        in
+        lines 0 1)
+
+let parse_tokens limits lines =
+  Obs.span "soc_format.parse" @@ fun () ->
+  interpret limits (fun f -> List.iteri (fun i toks -> f (i + 1) toks) lines)
 
 let parse_file ?limits path =
   let limits = match limits with Some l -> l | None -> default_limits () in

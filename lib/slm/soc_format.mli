@@ -40,8 +40,9 @@ val tokenize : string -> (string * int) list
 (** [tokenize line] splits one line into its whitespace-separated tokens,
     each paired with its 1-based start column; [#] comments are stripped.
     This is the exact lexer [parse] uses — exposed so the lint pass
-    ([Ermes_verify.Lint]) can diagnose declaration-level mistakes in files
-    the strict parser rejects. *)
+    ([Ermes_core.Lint]) can diagnose declaration-level mistakes in files
+    the strict parser rejects, then hand the same lines to
+    {!parse_tokens}. *)
 
 exception Parse_error of int * string
 (** [(column, message)] — raised by {!parse_kind_tokens}; internal to
@@ -64,6 +65,13 @@ val parse : ?limits:limits -> string -> (System.t, string) result
     [limits] (default {!default_limits}) are rejected up front: the whole
     text by total size, and every token by length (at its line and
     column). *)
+
+val parse_tokens : limits -> (string * int) list list -> (System.t, string) result
+(** [parse_tokens limits lines] is {!parse} on a text already split at
+    ['\n'] and {!tokenize}d line by line: the same system or the same error
+    listing, without lexing the text again. The byte ceiling is the
+    caller's to check, before tokenizing; the token ceiling is checked
+    here. *)
 
 val parse_file : ?limits:limits -> string -> (System.t, string) result
 (** Like {!parse}; an over-limit file is rejected from its on-disk size,

@@ -6,6 +6,7 @@ module Order = Ermes_core.Order
 module Oracle = Ermes_core.Oracle
 module Ilp_select = Ermes_core.Ilp_select
 module Explore = Ermes_core.Explore
+module Incremental = Ermes_core.Incremental
 module Frontier = Ermes_core.Frontier
 module Ratio = Ermes_tmg.Ratio
 
@@ -176,6 +177,86 @@ let prop_local_search_monotone_and_closes_gap =
       ignore (Order.local_search ~max_evaluations:2000 sys);
       let after_ls = Perf.cycle_time_exn sys in
       Ratio.(after_ls <= after_algo))
+
+(* The local search as it stood before the witness-pruned sweep: every
+   adjacent swap analyzed through one incremental session, each strict
+   improvement kept at once, until a sweep keeps nothing or the budget is
+   spent. [Order.local_search] must reach the same orders with the same
+   count. *)
+let unpruned_local_search ~max_evaluations sys =
+  let session = Incremental.create sys in
+  let best_ct =
+    ref
+      (match Incremental.cycle_time_opt session with
+       | Some ct -> ct
+       | None -> failwith "the incumbent orders deadlock")
+  in
+  let evals = ref 0 in
+  let try_swap get_order set_order p i =
+    !evals < max_evaluations
+    &&
+    let order = Array.of_list (get_order sys p) in
+    let t = order.(i) in
+    order.(i) <- order.(i + 1);
+    order.(i + 1) <- t;
+    set_order sys p (Array.to_list order);
+    incr evals;
+    match Incremental.cycle_time_opt session with
+    | Some ct when Ratio.(ct < !best_ct) ->
+      best_ct := ct;
+      true
+    | Some _ | None ->
+      order.(i + 1) <- order.(i);
+      order.(i) <- t;
+      set_order sys p (Array.to_list order);
+      false
+  in
+  let improved = ref true in
+  while !improved && !evals < max_evaluations do
+    improved := false;
+    List.iter
+      (fun p ->
+        let sweep get_order set_order =
+          for i = 0 to List.length (get_order sys p) - 2 do
+            if try_swap get_order set_order p i then improved := true
+          done
+        in
+        sweep System.get_order System.set_get_order;
+        sweep System.put_order System.set_put_order)
+      (System.processes sys)
+  done;
+  !evals
+
+let prop_local_search_matches_unpruned name design_gen =
+  Helpers.qtest ~count:80 name
+    QCheck2.Gen.(pair design_gen (oneof [ pure 10_000; int_range 0 60 ]))
+    (fun (sys, max_evaluations) ->
+      let run search =
+        let copy = System.copy sys in
+        match search ~max_evaluations copy with
+        | evals -> Ok (evals, Order.snapshot copy)
+        | exception Failure _ -> Error ()
+      in
+      let pruned = run (fun ~max_evaluations s -> Order.local_search ~max_evaluations s) in
+      match (pruned, run unpruned_local_search) with
+      | a, b when a = b -> true
+      | Ok (n, orders), Ok (m, orders') ->
+        QCheck2.Test.fail_reportf "budget %d: %d analyses, unpruned %d; orders %s"
+          max_evaluations n m
+          (if orders = orders' then "equal" else "differ")
+      | _ -> QCheck2.Test.fail_reportf "only one search rejected the incumbent")
+
+let fuzz_design_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      fst (Ermes_fault.Fuzz.gen_case (Ermes_synth.Prng.create ~seed) ~max_processes:12))
+    QCheck2.Gen.(int_range 1 1_000_000)
+
+let generated_design_gen =
+  QCheck2.Gen.map
+    (fun (processes, extra, seed) ->
+      Ermes_synth.Generate.scaled ~seed ~processes ~channels:(processes + extra) ())
+    QCheck2.Gen.(triple (int_range 8 30) (int_range 4 24) (int_range 1 1_000_000))
 
 (* ---- order: the paper's worked example -------------------------------------- *)
 
@@ -776,6 +857,10 @@ let () =
           prop_explore_monotone_outcome;
           prop_latency_slack_exact;
           prop_local_search_monotone_and_closes_gap;
+          prop_local_search_matches_unpruned "local search matches the unpruned search on fuzz cases"
+            fuzz_design_gen;
+          prop_local_search_matches_unpruned
+            "local search matches the unpruned search on generated designs" generated_design_gen;
           prop_buffer_sizing_monotone;
         ] );
     ]

@@ -941,11 +941,11 @@ let test_soc_token_limit () =
 
 let test_lint_e108 () =
   let diag_codes r =
-    List.map (fun (d : Ermes_verify.Lint.diagnostic) -> d.Ermes_verify.Lint.code)
-      r.Ermes_verify.Lint.diagnostics
+    List.map (fun (d : Ermes_core.Lint.diagnostic) -> d.Ermes_core.Lint.code)
+      r.Ermes_core.Lint.diagnostics
   in
   Unix.putenv "ERMES_MAX_SOC_TOKEN" "8";
-  let long_token = match Ermes_verify.Lint.lint_string
+  let long_token = match Ermes_core.Lint.lint_string
     (Printf.sprintf "process %s latency 1\n" (String.make 64 'x')) with
     | Ok r -> r
     | Error e -> Alcotest.fail e
@@ -954,7 +954,7 @@ let test_lint_e108 () =
   Alcotest.(check bool) "long token flagged E108" true
     (List.mem "E108" (diag_codes long_token));
   Unix.putenv "ERMES_MAX_SOC_BYTES" "16";
-  let oversized = match Ermes_verify.Lint.lint_string
+  let oversized = match Ermes_core.Lint.lint_string
     (Soc_format.print (Motivating.suboptimal ())) with
     | Ok r -> r
     | Error e -> Alcotest.fail e
@@ -963,7 +963,7 @@ let test_lint_e108 () =
   Alcotest.(check (list string)) "oversized input is a single E108" [ "E108" ]
     (diag_codes oversized);
   Alcotest.(check bool) "semantics not checked" false
-    oversized.Ermes_verify.Lint.checked_semantics
+    oversized.Ermes_core.Lint.checked_semantics
 
 (* ---- parallel backtrace (satellite) ---------------------------------------- *)
 

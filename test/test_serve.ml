@@ -658,6 +658,39 @@ let test_batch_verb_agrees () =
         (field "status", Proto.str_member "category" item, field "detail"))
     (List.combine cases items) report.Batch.results
 
+(* A session reply carries the cold analyze verdict's fields, for a live and
+   a deadlocking design alike; only the per-verb bookkeeping differs. *)
+let test_session_reply_matches_cold () =
+  let deps =
+    {
+      Handler.cache = Cache.create ~capacity:4;
+      sessions = Session.create_table ~clock:Unix.gettimeofday ();
+      rounds = 64;
+    }
+  in
+  let call verb body =
+    match
+      Handler.execute deps ~cancel:(Cancel.make ()) ~attempts:(ref 0) ~client:"t"
+        { Proto.id = 1; verb; body = Proto.Obj body }
+    with
+    | Proto.Obj fields ->
+      List.filter
+        (fun (k, _) ->
+          not (List.mem k [ "verb"; "session"; "path"; "edits"; "design_hash"; "cached" ]))
+        fields
+    | j -> Alcotest.failf "%s: not an object: %s" verb (Proto.to_string j)
+  in
+  List.iter
+    (fun (name, sys) ->
+      let design = ("design", Proto.Str (Soc_format.print sys)) in
+      let cold = call "analyze" [ design ] in
+      let session = call "session-open" [ design; ("session", Proto.Str name) ] in
+      Alcotest.(check string)
+        (name ^ ": session-open reply")
+        (Proto.to_string (Proto.Obj cold))
+        (Proto.to_string (Proto.Obj session)))
+    [ ("live", Motivating.suboptimal ()); ("deadlocking", Motivating.deadlocking ()) ]
+
 (* ---- frame-read deadline --------------------------------------------------- *)
 
 (* [Proto.pending] is what the server's slow-loris deadline keys off: true
@@ -837,6 +870,8 @@ let () =
         [
           test_session_equiv;
           test_session_rebuild;
+          Alcotest.test_case "session reply matches cold analyze" `Quick
+            test_session_reply_matches_cold;
           Alcotest.test_case "per-client cap, close, replace" `Quick
             test_session_cap_and_close;
           Alcotest.test_case "idle reap" `Quick test_session_reap_idle;

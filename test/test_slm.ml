@@ -814,6 +814,11 @@ let test_soc_roundtrip_motivating () =
      | Ok a, Ok b -> Helpers.check_ratio "same cycle time" a.Csr.cycle_time b.Csr.cycle_time
      | _ -> Alcotest.fail "analysis failed")
 
+(* Lint's way into the parser: the text's lines, already tokenized. *)
+let parse_lines text =
+  Soc_format.parse_tokens (Soc_format.default_limits ())
+    (List.map Soc_format.tokenize (String.split_on_char '\n' text))
+
 let test_soc_parse_errors () =
   let check_error text fragment =
     match Soc_format.parse text with
@@ -822,7 +827,10 @@ let test_soc_parse_errors () =
       Alcotest.(check bool)
         (Printf.sprintf "error %S mentions %S" e fragment)
         true
-        (Astring_contains.contains e fragment)
+        (Astring_contains.contains e fragment);
+      Alcotest.(check (result string string))
+        "parse_tokens gives the same error" (Error e)
+        (Result.map Soc_format.print (parse_lines text))
   in
   check_error "process p impl a latency 1 area 1" "system";
   check_error "system s\nfrobnicate x" "unknown directive";
@@ -868,9 +876,10 @@ let test_soc_puts_first_preserved () =
 let prop_soc_roundtrip =
   Helpers.qtest ~count:80 "parse . print = identity on random systems"
     Helpers.feedback_system_gen (fun sys ->
-      match Soc_format.parse (Soc_format.print sys) with
-      | Ok sys' -> Soc_format.print sys' = Soc_format.print sys
-      | Error _ -> false)
+      let text = Soc_format.print sys in
+      match (Soc_format.parse text, parse_lines text) with
+      | Ok sys', Ok sys'' -> Soc_format.print sys' = text && Soc_format.print sys'' = text
+      | _ -> false)
 
 (* Soc_format.print as it stood when it built its text with Printf, kinds
    included: the bytes are the daemon's cache key and every journal's

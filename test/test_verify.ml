@@ -18,7 +18,7 @@ module Motivating = Ermes_support.Motivating
 module Perf = Ermes_core.Perf
 module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
-module Lint = Ermes_verify.Lint
+module Lint = Ermes_core.Lint
 
 (* Every check reads a fresh freeze of the net as it stands now. *)
 let accepted tmg cert =
